@@ -1,5 +1,6 @@
 #include "bench_harness.h"
 
+#include <chrono>
 #include <cstdio>
 
 #include "common/config.h"
@@ -7,6 +8,16 @@
 #include "mr/engine.h"
 
 namespace gumbo::bench {
+
+namespace {
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+}  // namespace
 
 BenchOptions BenchOptions::FromEnv() {
   const common::RuntimeConfig& cfg = common::RuntimeConfig::Get();
@@ -31,7 +42,9 @@ CellResult RunStrategy(const data::Workload& w, plan::Strategy strategy,
   mr::Engine engine(options.cluster);
   mr::Runtime runtime(&engine, options.runtime);
   Database db = w.db;
+  const auto plan_start = std::chrono::steady_clock::now();
   auto plan = planner.Plan(w.query, db);
+  const double plan_ms = MsSince(plan_start);
   if (!plan.ok()) {
     cell.error = plan.status().ToString();
     return cell;
@@ -43,13 +56,16 @@ CellResult RunStrategy(const data::Workload& w, plan::Strategy strategy,
   }
   cell.ok = true;
   cell.metrics = result->metrics;
+  cell.metrics.plan_ms = plan_ms;
   return cell;
 }
 
 CellResult RunBaseline(const data::Workload& w, baselines::BaselineKind kind,
                        const BenchOptions& options) {
   CellResult cell;
+  const auto plan_start = std::chrono::steady_clock::now();
   auto plan = baselines::PlanBaseline(kind, w.query, w.db);
+  const double plan_ms = MsSince(plan_start);
   if (!plan.ok()) {
     cell.error = plan.status().ToString();
     return cell;
@@ -64,6 +80,7 @@ CellResult RunBaseline(const data::Workload& w, baselines::BaselineKind kind,
   }
   cell.ok = true;
   cell.metrics = result->metrics;
+  cell.metrics.plan_ms = plan_ms;
   return cell;
 }
 
@@ -134,6 +151,8 @@ void PrintMetricBlock(const std::string& title,
        [](const plan::Metrics& m) { return std::to_string(m.max_jobs_per_round); }},
       {"Wall (ms)",
        [](const plan::Metrics& m) { return StrFormat("%.1f", m.wall_ms); }},
+      {"Plan (ms)",
+       [](const plan::Metrics& m) { return StrFormat("%.1f", m.plan_ms); }},
   };
   for (const auto& m : sched) {
     std::vector<std::string> header = {std::string(m.name)};

@@ -56,6 +56,8 @@ struct BenchOptions {
 struct CellResult {
   bool ok = false;
   std::string error;
+  /// Execution metrics, with metrics.plan_ms set to the wall time of the
+  /// cell's cold planning call (Planner::Plan or PlanBaseline).
   plan::Metrics metrics;
 };
 

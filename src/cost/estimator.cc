@@ -15,13 +15,19 @@ constexpr double kMbPerByte = 1.0 / (1024.0 * 1024.0);
 
 }  // namespace
 
+SkewRegime CostEstimator::RegimeOf(const Relation& rel) const {
+  auto [it, inserted] = regimes_.try_emplace(&rel);
+  if (inserted) it->second = ClassifyKeySkew(rel);
+  return it->second;
+}
+
 Result<RelationStats> CostEstimator::StatsOf(const std::string& name) const {
   if (db_ != nullptr && db_->Contains(name)) {
     const Relation* rel = db_->Get(name).value();
     RelationStats stats;
     stats.tuples = rel->RepresentedRecords();
     stats.bytes_per_tuple = rel->bytes_per_tuple();
-    stats.regime = ClassifyKeySkew(*rel);
+    stats.regime = RegimeOf(*rel);
     return stats;
   }
   if (catalog_ == nullptr) {
@@ -41,7 +47,7 @@ Result<MapPartition> CostEstimator::EstimateInput(const mr::JobSpec& job,
   if (db_ != nullptr && db_->Contains(input.dataset)) {
     const Relation* rel = db_->Get(input.dataset).value();
     tag->channel = Channel::kSampledOutput;
-    tag->regime = ClassifyKeySkew(*rel);
+    tag->regime = RegimeOf(*rel);
     p.input_mb = rel->SizeMb();
     p.num_mappers = std::max(
         1, static_cast<int>(std::ceil(p.input_mb / config_.split_mb)));

@@ -83,6 +83,9 @@ struct JobEstimate {
   bool bound_defaulted = false;  ///< K defaulted to summed input sizes
 };
 
+/// Classifies each materialized relation's skew regime once, so `db` must
+/// not change while an instance lives, and an instance must not be shared
+/// between threads: make one per planning call (DESIGN.md §10).
 class CostEstimator {
  public:
   /// `db` supplies materialized relations for sampling; `catalog` supplies
@@ -121,6 +124,9 @@ class CostEstimator {
                                      size_t input_index,
                                      InputEstimateTag* tag) const;
 
+  /// ClassifyKeySkew(rel), memoized per relation.
+  SkewRegime RegimeOf(const Relation& rel) const;
+
   double Factor(Channel channel, SkewRegime regime) const {
     return calibration_ != nullptr ? calibration_->Factor(channel, regime)
                                    : 1.0;
@@ -132,6 +138,7 @@ class CostEstimator {
   const StatsCatalog* catalog_;
   size_t sample_size_;
   const CalibrationStore* calibration_;
+  mutable std::map<const Relation*, SkewRegime> regimes_;
 };
 
 }  // namespace gumbo::cost

@@ -72,13 +72,23 @@ Result<Strategy> StrategyFromName(const std::string& name) {
 
 namespace {
 
-// Planning context threaded through batch planners.
+// Planning context threaded through batch planners. Lives for one Plan
+// call, which reads `db` as a const snapshot throughout — the condition
+// under which the estimator may memoize each relation's skew regime.
 struct PlanContext {
-  const sgf::SgfQuery* query = nullptr;
-  const Database* db = nullptr;
-  const cost::ClusterConfig* config = nullptr;
-  const PlannerOptions* options = nullptr;
+  PlanContext(const sgf::SgfQuery& q, const Database& d,
+              const cost::ClusterConfig& c, const PlannerOptions& o)
+      : query(&q),
+        db(&d),
+        options(&o),
+        estimator(c, o.cost_variant, &d, &catalog, o.sample_size,
+                  o.calibration) {}
+
+  const sgf::SgfQuery* query;
+  const Database* db;
+  const PlannerOptions* options;
   cost::StatsCatalog catalog;  // declared stats for produced datasets
+  cost::CostEstimator estimator;  // reads `catalog`: declared after it
   QueryPlan plan;
   size_t name_counter = 0;
 
@@ -97,31 +107,17 @@ struct PlanContext {
 // guard's tuple count, at the output's own tuple density (paper §4.1: K is
 // bounded by the guard size). Each produced dataset inherits its guard's
 // key-skew regime — a semi-join output is a subset of the guard, so its
-// skew is the guard's (DESIGN.md §10).
-Status RegisterProducedStats(const sgf::SgfQuery& query, const Database& db,
-                             cost::StatsCatalog* catalog) {
-  std::map<std::string, double> tuple_bound;
-  std::map<std::string, cost::SkewRegime> regime_of;
-  for (const auto& q : query.subqueries()) {
-    double guard_tuples = 0.0;
-    cost::SkewRegime regime = cost::SkewRegime::kUniform;
+// skew is the guard's (DESIGN.md §10). A guard produced earlier in the
+// query takes its catalog bound even if `db` holds a same-named relation.
+Status RegisterProducedStats(PlanContext* ctx) {
+  for (const auto& q : ctx->query->subqueries()) {
     const std::string& g = q.guard().relation();
-    auto it = tuple_bound.find(g);
-    if (it != tuple_bound.end()) {
-      guard_tuples = it->second;
-      regime = regime_of[g];
-    } else {
-      GUMBO_ASSIGN_OR_RETURN(const Relation* rel, db.Get(g));
-      guard_tuples = rel->RepresentedRecords();
-      regime = cost::ClassifyKeySkew(*rel);
-    }
-    tuple_bound[q.output()] = guard_tuples;
-    regime_of[q.output()] = regime;
-    cost::RelationStats stats;
-    stats.tuples = guard_tuples;
+    GUMBO_ASSIGN_OR_RETURN(cost::RelationStats stats,
+                           ctx->catalog.Contains(g)
+                               ? ctx->catalog.Get(g)
+                               : ctx->estimator.StatsOf(g));
     stats.bytes_per_tuple = 10.0 * static_cast<double>(q.OutputArity());
-    stats.regime = regime;
-    catalog->Put(q.output(), stats);
+    ctx->catalog.Put(q.output(), stats);
   }
   return Status::Ok();
 }
@@ -199,15 +195,11 @@ Status PlanBatchPartitioned(const std::vector<size_t>& batch,
     if (strategy == Strategy::kPar) {
       for (size_t i = 0; i < eqs.size(); ++i) grouping.groups.push_back({i});
     } else {
-      cost::CostEstimator estimator(*ctx->config, ctx->options->cost_variant,
-                                    ctx->db, &ctx->catalog,
-                                    ctx->options->sample_size,
-                                    ctx->options->calibration);
       // Register X_i stats (upper bound: guard size at payload density;
       // regime inherited from the guard — X_i is a guard subset).
       for (const auto& eq : eqs) {
         GUMBO_ASSIGN_OR_RETURN(cost::RelationStats gs,
-                               estimator.StatsOf(eq.guard_dataset));
+                               ctx->estimator.StatsOf(eq.guard_dataset));
         cost::RelationStats xs;
         xs.tuples = gs.tuples;
         xs.bytes_per_tuple =
@@ -219,11 +211,12 @@ Status PlanBatchPartitioned(const std::vector<size_t>& batch,
       }
       if (strategy == Strategy::kOpt) {
         GUMBO_ASSIGN_OR_RETURN(
-            grouping, OptimalGrouping(eqs, ctx->options->op, estimator,
+            grouping, OptimalGrouping(eqs, ctx->options->op, ctx->estimator,
                                       ctx->options->opt_max_n));
       } else {
-        GUMBO_ASSIGN_OR_RETURN(
-            grouping, GreedyBsgfGrouping(eqs, ctx->options->op, estimator));
+        GUMBO_ASSIGN_OR_RETURN(grouping,
+                               GreedyBsgfGrouping(eqs, ctx->options->op,
+                                                  ctx->estimator));
       }
     }
   }
@@ -428,11 +421,9 @@ Batches LevelBatches(const sgf::DependencyGraph& graph) {
 // Estimated Equation-10 cost of evaluating the batches with GREEDY
 // grouping inside (used by OPT-SGF).
 Result<double> EstimateSortCost(const Batches& batches, PlanContext* ctx) {
+  const cost::CostEstimator& estimator = ctx->estimator;
+  const cost::CostConstants& costs = estimator.config().costs;
   double total = 0.0;
-  cost::CostEstimator estimator(*ctx->config, ctx->options->cost_variant,
-                                ctx->db, &ctx->catalog,
-                                ctx->options->sample_size,
-                                ctx->options->calibration);
   for (const auto& batch : batches) {
     std::vector<ops::SemiJoinEquation> eqs;
     size_t fresh = 0;
@@ -461,9 +452,8 @@ Result<double> EstimateSortCost(const Batches& batches, PlanContext* ctx) {
       total += g.total_cost;
     }
     // Rough EVAL term: overhead + read + shuffle of its inputs.
-    total += ctx->config->costs.job_overhead +
-             (ctx->config->costs.hdfs_read + ctx->config->costs.transfer +
-              ctx->config->costs.local_write) *
+    total += costs.job_overhead +
+             (costs.hdfs_read + costs.transfer + costs.local_write) *
                  eval_input_mb;
   }
   return total;
@@ -478,10 +468,7 @@ Result<double> EstimateSortCost(const Batches& batches, PlanContext* ctx) {
 // totals comparable across strategies (ChoosePlan) and give the
 // calibration feedback loop its "estimated" side (DESIGN.md §10).
 Status EstimatePlanJobs(PlanContext* ctx) {
-  cost::CostEstimator estimator(*ctx->config, ctx->options->cost_variant,
-                                ctx->db, &ctx->catalog,
-                                ctx->options->sample_size,
-                                ctx->options->calibration);
+  const cost::CostEstimator& estimator = ctx->estimator;
   QueryPlan& plan = ctx->plan;
   plan.job_estimates.clear();
   plan.estimated_cost = 0.0;
@@ -513,7 +500,7 @@ Status EstimatePlanJobs(PlanContext* ctx) {
     // bounded by RegisterProducedStats or the grouping path).
     for (const mr::JobOutput& out : job.outputs) {
       if (ctx->catalog.Contains(out.dataset)) continue;
-      if (ctx->db != nullptr && ctx->db->Contains(out.dataset)) continue;
+      if (ctx->db->Contains(out.dataset)) continue;
       cost::RelationStats stats;
       stats.tuples = input_tuple_bound;
       stats.bytes_per_tuple = out.bytes_per_tuple > 0.0
@@ -542,12 +529,8 @@ Result<QueryPlan> Planner::Plan(const sgf::SgfQuery& query,
   PlannerOptions options = options_;
   options.op = ops::ApplyEnvOverrides(options.op);
 
-  PlanContext ctx;
-  ctx.query = &query;
-  ctx.db = &db;
-  ctx.config = &config_;
-  ctx.options = &options;
-  GUMBO_RETURN_IF_ERROR(RegisterProducedStats(query, db, &ctx.catalog));
+  PlanContext ctx(query, db, config_, options);
+  GUMBO_RETURN_IF_ERROR(RegisterProducedStats(&ctx));
   for (const auto& q : query.subqueries()) {
     ctx.plan.outputs.push_back(q.output());
   }

@@ -205,6 +205,89 @@ TEST(EstimatorTest, ConstantFilterDetectedBySampling) {
   EXPECT_DOUBLE_EQ(e->partitions[1].output_mb, 0.0);
 }
 
+void ExpectSameEstimate(const JobEstimate& got, const JobEstimate& want) {
+  ASSERT_EQ(got.partitions.size(), want.partitions.size());
+  for (size_t i = 0; i < got.partitions.size(); ++i) {
+    EXPECT_EQ(got.partitions[i].input_mb, want.partitions[i].input_mb);
+    EXPECT_EQ(got.partitions[i].output_mb, want.partitions[i].output_mb);
+    EXPECT_EQ(got.partitions[i].metadata_mb, want.partitions[i].metadata_mb);
+    EXPECT_EQ(got.partitions[i].num_mappers, want.partitions[i].num_mappers);
+  }
+  ASSERT_EQ(got.input_tags.size(), want.input_tags.size());
+  for (size_t i = 0; i < got.input_tags.size(); ++i) {
+    EXPECT_EQ(got.input_tags[i].dataset, want.input_tags[i].dataset);
+    EXPECT_EQ(got.input_tags[i].channel, want.input_tags[i].channel);
+    EXPECT_EQ(got.input_tags[i].regime, want.input_tags[i].regime);
+    EXPECT_EQ(got.input_tags[i].input_mb, want.input_tags[i].input_mb);
+    EXPECT_EQ(got.input_tags[i].output_mb, want.input_tags[i].output_mb);
+  }
+  EXPECT_EQ(got.output_mb, want.output_mb);
+  EXPECT_EQ(got.num_reducers, want.num_reducers);
+  EXPECT_EQ(got.cost, want.cost);
+  EXPECT_EQ(got.bound_regime, want.bound_regime);
+  EXPECT_EQ(got.bound_defaulted, want.bound_defaulted);
+}
+
+TEST(EstimatorTest, ReusedEstimatorMatchesAFreshOne) {
+  // The estimator memoizes each relation's skew regime; an estimator that
+  // has already answered many calls must give the estimate a fresh one
+  // gives, on every regime and with or without calibration factors.
+  data::GeneratorConfig g;
+  g.tuples = 3000;
+  g.representation_scale = 1.0;
+  data::Generator gen(g);
+  Database db;
+  db.Put(gen.Guard("U", 2));
+  db.Put(gen.ZipfGuard("Z", 2, 1.5));
+  db.Put(gen.CorrelatedGuard("C", 2, 0.9, 1.0));
+  db.Put(Relation("E", 2));
+  db.Put(gen.Conditional("S", 1));
+  std::vector<mr::JobSpec> jobs;
+  for (const char* guard : {"U", "Z", "C", "E"}) {
+    ops::SemiJoinEquation eq;
+    eq.output = std::string("X") + guard;
+    eq.guard = sgf::Atom::Vars(guard, {"x", "y"});
+    eq.guard_dataset = guard;
+    eq.conditional = sgf::Atom::Vars("S", {"x"});
+    eq.conditional_dataset = "S";
+    auto job = ops::BuildMsjJob({eq}, ops::OpOptions{}, eq.output);
+    ASSERT_OK(job);
+    jobs.push_back(std::move(*job));
+  }
+
+  CalibrationStore learned;
+  learned.Observe(Channel::kSampledOutput, SkewRegime::kHeavy, 1.0, 3.0);
+  learned.Observe(Channel::kSampledOutput, SkewRegime::kUniform, 2.0, 1.0);
+  learned.Observe(Channel::kOutputBound, SkewRegime::kHeavy, 1.0, 0.5);
+  const CalibrationStore empty;
+  const CalibrationStore* stores[] = {&empty, &learned};
+  ClusterConfig config;
+  config.split_mb = 0.01;
+  StatsCatalog catalog;
+  for (const CalibrationStore* store : stores) {
+    CostEstimator reused(config, CostModelVariant::kGumbo, &db, &catalog, 256,
+                         store);
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const mr::JobSpec& job : jobs) {
+        CostEstimator fresh(config, CostModelVariant::kGumbo, &db, &catalog,
+                            256, store);
+        auto want = fresh.EstimateJob(job);
+        auto got = reused.EstimateJob(job);
+        ASSERT_OK(want);
+        ASSERT_OK(got);
+        ExpectSameEstimate(*got, *want);
+      }
+    }
+    // The cases really span the regimes the memo stores.
+    auto heavy = reused.EstimateJob(jobs[1]);
+    ASSERT_OK(heavy);
+    EXPECT_EQ(heavy->input_tags[0].regime, SkewRegime::kHeavy);
+    auto uniform = reused.EstimateJob(jobs[0]);
+    ASSERT_OK(uniform);
+    EXPECT_EQ(uniform->input_tags[0].regime, SkewRegime::kUniform);
+  }
+}
+
 // ---- Skew classification + calibration (DESIGN.md §10) ----------------------
 
 TEST(CalibrationTest, ClassifyKeySkewPerGeneratorRegime) {
@@ -221,6 +304,40 @@ TEST(CalibrationTest, ClassifyKeySkewPerGeneratorRegime) {
   EXPECT_EQ(ClassifyKeySkew(gen.CorrelatedGuard("C", 3, 0.9, 0.0)),
             SkewRegime::kUniform);
   EXPECT_EQ(ClassifyKeySkew(Relation("E", 2)), SkewRegime::kUniform);
+
+  // Boundary cases, all below the default 2048-row sample cap so every row
+  // is sampled: `hot` rows share key 0, the other rows come in runs of
+  // `run` rows per key.
+  auto hot_key = [](size_t n, size_t hot, size_t run = 1) {
+    Relation rel("B", 2);
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t key =
+          i < hot ? 0 : static_cast<int64_t>(1 + (i - hot) / run);
+      EXPECT_TRUE(rel.Add(Tuple::Ints({key, static_cast<int64_t>(i)})).ok());
+    }
+    return rel;
+  };
+  EXPECT_EQ(ClassifyKeySkew(hot_key(100, 20)), SkewRegime::kHeavy);  // 0.20
+  EXPECT_EQ(ClassifyKeySkew(hot_key(100, 19)), SkewRegime::kModerate);
+  EXPECT_EQ(ClassifyKeySkew(hot_key(1000, 40)), SkewRegime::kModerate);  // .04
+  EXPECT_EQ(ClassifyKeySkew(hot_key(1000, 39)), SkewRegime::kUniform);
+  // Ten distinct keys: a 10% top share, but under the 8/u tiny-domain bar.
+  EXPECT_EQ(ClassifyKeySkew(hot_key(10, 1)), SkewRegime::kUniform);
+  // 48 distinct keys: a top share of exactly 8/48 meets the bar, one row
+  // less misses it.
+  EXPECT_EQ(ClassifyKeySkew(hot_key(282, 47, 5)), SkewRegime::kModerate);
+  EXPECT_EQ(ClassifyKeySkew(hot_key(281, 46, 5)), SkewRegime::kUniform);
+  // A single distinct key, including a one-row relation.
+  EXPECT_EQ(ClassifyKeySkew(hot_key(50, 50)), SkewRegime::kHeavy);
+  EXPECT_EQ(ClassifyKeySkew(hot_key(1, 1)), SkewRegime::kHeavy);
+  // A sample cap below n samples the stride rows only: the hot key holds
+  // every tenth row, exactly the rows a 400-of-4000 stride sample reads.
+  Relation strided("S", 1);
+  for (int64_t i = 0; i < 4000; ++i) {
+    ASSERT_OK(strided.Add(Tuple::Ints({i % 10 == 0 ? 0 : i})));
+  }
+  EXPECT_EQ(ClassifyKeySkew(strided, 400), SkewRegime::kHeavy);
+  EXPECT_EQ(ClassifyKeySkew(strided), SkewRegime::kModerate);
 }
 
 TEST(CalibrationTest, EmptyStoreIsTheIdentity) {

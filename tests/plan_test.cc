@@ -332,6 +332,75 @@ TEST(PlannerTest, StrategyNamesRoundTrip) {
   EXPECT_NE(bad.status().ToString().find("1-ROUND"), std::string::npos);
 }
 
+// Two plans of one query agree on everything planning decides: the
+// description, the total estimate, and every per-job estimate.
+void ExpectSamePlan(const QueryPlan& got, const QueryPlan& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.description, want.description) << what;
+  EXPECT_EQ(got.estimated_cost, want.estimated_cost) << what;
+  ASSERT_EQ(got.job_estimates.size(), want.job_estimates.size()) << what;
+  for (size_t j = 0; j < got.job_estimates.size(); ++j) {
+    const JobEstimateRecord& a = got.job_estimates[j];
+    const JobEstimateRecord& b = want.job_estimates[j];
+    EXPECT_EQ(a.job_name, b.job_name) << what;
+    EXPECT_EQ(a.cost, b.cost) << what << " " << a.job_name;
+    EXPECT_EQ(a.output_mb, b.output_mb) << what << " " << a.job_name;
+    EXPECT_EQ(a.bound_regime, b.bound_regime) << what << " " << a.job_name;
+    EXPECT_EQ(a.bound_defaulted, b.bound_defaulted) << what;
+    ASSERT_EQ(a.inputs.size(), b.inputs.size()) << what << " " << a.job_name;
+    for (size_t i = 0; i < a.inputs.size(); ++i) {
+      EXPECT_EQ(a.inputs[i].dataset, b.inputs[i].dataset) << what;
+      EXPECT_EQ(a.inputs[i].channel, b.inputs[i].channel) << what;
+      EXPECT_EQ(a.inputs[i].regime, b.inputs[i].regime) << what;
+      EXPECT_EQ(a.inputs[i].input_mb, b.inputs[i].input_mb) << what;
+      EXPECT_EQ(a.inputs[i].output_mb, b.inputs[i].output_mb) << what;
+    }
+  }
+}
+
+TEST(PlannerTest, RepeatedAndCopiedDatabasePlansAreIdentical) {
+  // Skew regimes are memoized per Plan call only: a second call on the
+  // same Planner, and a call over a deep copy of the database (every
+  // Relation at a new address), must plan exactly like the first call.
+  std::vector<std::pair<Result<data::Workload>, std::vector<Strategy>>> cases;
+  for (int i : {1, 2, 3, 4, 5}) {
+    cases.emplace_back(data::MakeA(i, SmallData()),
+                       std::vector<Strategy>{Strategy::kSeq,
+                                             Strategy::kGreedy});
+  }
+  for (int i : {1, 2}) {
+    cases.emplace_back(data::MakeB(i, SmallData()),
+                       std::vector<Strategy>{Strategy::kSeq,
+                                             Strategy::kGreedy});
+  }
+  for (int i : {1, 2, 3, 4}) {
+    cases.emplace_back(data::MakeC(i, SmallData()),
+                       std::vector<Strategy>{Strategy::kGreedySgf});
+  }
+  for (const auto& [w, strategies] : cases) {
+    ASSERT_OK(w);
+    Database copy;
+    for (const auto& [name, rel] : w->db.relations()) copy.Put(rel);
+    for (const auto& [name, rel] : copy.relations()) {
+      ASSERT_NE(&rel, w->db.Get(name).value()) << name;
+    }
+    for (Strategy s : strategies) {
+      const std::string what = w->name + " under " + StrategyName(s);
+      PlannerOptions opts;
+      opts.strategy = s;
+      Planner planner(TestCluster(), opts);
+      auto first = planner.Plan(w->query, w->db);
+      auto again = planner.Plan(w->query, w->db);
+      auto copied = planner.Plan(w->query, copy);
+      ASSERT_OK(first) << what;
+      ASSERT_OK(again) << what;
+      ASSERT_OK(copied) << what;
+      ExpectSamePlan(*again, *first, what + " (second call)");
+      ExpectSamePlan(*copied, *first, what + " (copied database)");
+    }
+  }
+}
+
 // ---- Baselines ----------------------------------------------------------------
 
 // ---- Self-calibrating planner (DESIGN.md §10) -------------------------------
@@ -391,6 +460,39 @@ TEST(CalibrationPlanTest, QueryRegimeFollowsTheGuard) {
   heavy.Put(gen.ZipfGuard("G", 3, 1.5));
   for (const char* c : {"S", "T", "U"}) heavy.Put(gen.Conditional(c, 1));
   EXPECT_EQ(QueryRegime(query, heavy), cost::SkewRegime::kHeavy);
+}
+
+TEST(CalibrationPlanTest, PlanSeesSkewWrittenBetweenCalls) {
+  // Skew regimes are memoized for one Plan call only: rewriting the guard
+  // in place (same name, same Relation object) between two calls on one
+  // Planner must reach the second call's estimates.
+  const sgf::SgfQuery query = ParseSgfOrDie(kSkewQuery);
+  data::GeneratorConfig g = SmallData();
+  g.tuples = 4000;  // enough rows for a stable skew classification
+  data::Generator gen(g);
+  Database db;
+  db.Put(gen.Guard("G", 3));
+  for (const char* c : {"S", "T", "U"}) db.Put(gen.Conditional(c, 1));
+  Planner planner(TestCluster(), PlannerOptions{});
+  auto expect_guard_regime = [&](cost::SkewRegime want) {
+    auto plan = planner.Plan(query, db);
+    ASSERT_OK(plan);
+    size_t tags = 0;
+    for (const JobEstimateRecord& rec : plan->job_estimates) {
+      for (const cost::InputEstimateTag& tag : rec.inputs) {
+        if (tag.dataset != "G") continue;
+        EXPECT_EQ(tag.regime, want) << rec.job_name;
+        ++tags;
+      }
+    }
+    EXPECT_GT(tags, 0u);
+  };
+  expect_guard_regime(cost::SkewRegime::kUniform);
+  auto guard = db.GetMutable("G");
+  ASSERT_OK(guard);
+  **guard = gen.ZipfGuard("G", 3, 1.5);
+  db.SettleLoans();
+  expect_guard_regime(cost::SkewRegime::kHeavy);
 }
 
 TEST(CalibrationPlanTest, TuneOpOptionsDisablesLowYieldKnobs) {
