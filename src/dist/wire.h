@@ -112,6 +112,9 @@ class FrameReader {
     if (static_cast<size_t>(end_ - pos_) < n) {
       return Status::ParseError("wire: frame body over-read");
     }
+    // An empty read may pass a null destination (an empty vector's
+    // data()), which memcpy forbids even for zero bytes.
+    if (n == 0) return Status::Ok();
     std::memcpy(v, pos_, n);
     pos_ += n;
     return Status::Ok();

@@ -169,12 +169,20 @@ Result<std::unique_ptr<JobExecution>> JobExecution::Prepare(
 
   // ---- Bloom filters (DESIGN.md §5.2): built once per job from the
   // resolved inputs, before any map task runs; every mapper gets the set.
+  // One scheduler task per filter, each the filter's only writer, so the
+  // bits are those of a serial build at any worker count.
   if (job.filter_builder) {
-    GUMBO_ASSIGN_OR_RETURN(FilterSet fs, job.filter_builder(exec->inputs_));
-    if (!fs.empty()) {
+    FilterPlan plan = job.filter_builder(exec->inputs_);
+    if (!plan.filters.empty()) {
+      exec->sched_ctx_.scheduler->ParallelFor(
+          plan.filters.size(),
+          [&plan](size_t f) { plan.populate(f, &plan.filters[f]); },
+          exec->sched_ctx_);
+      GUMBO_RETURN_IF_ERROR(CheckCancel(exec->sched_ctx_.cancel));
+      FilterSet fs(std::move(plan.filters));
       stats.filter_mb = fs.SizeBytes() * scale * kMbPerByte;
       stats.filter_build_cost =
-          cost::FilterBuildCost(config.costs, fs.scan_mb());
+          cost::FilterBuildCost(config.costs, plan.scan_mb);
       // Distributed-cache style: one filter copy shipped per node, not
       // per task (DESIGN.md §5.3).
       stats.filter_broadcast_mb =

@@ -132,6 +132,10 @@ class JobExecution {
   /// Representation scale shared by all of this job's inputs.
   double scale() const { return scale_; }
 
+  /// The job's Bloom filters (DESIGN.md §5.2); nullptr when the job
+  /// builds none.
+  const FilterSet* filters() const { return filters_.get(); }
+
   /// Sum of input_mb over ALL map tasks (not just owned ones); a pure
   /// function of the task list, so every shard agrees without exchange.
   double TotalInputMb() const;

@@ -10,17 +10,20 @@
 // byte-identical with filtering on or off; only shuffle volume changes.
 //
 // The operator builders (ops/msj.cc, ops/chain.cc, ops/one_round.cc)
-// construct the filters through JobSpec::filter_builder, the engine runs
-// the builder once per job before the map phase and hands the resulting
-// FilterSet to every mapper (see docs/operators.md for which message
-// kinds of each operator are filter-eligible). Build and broadcast costs
-// enter the modeled clock via cost::FilterBuildCost /
-// cost::FilterBroadcastCost (DESIGN.md §5.3).
+// describe the filters through JobSpec::filter_builder (ops/filters.h);
+// the engine runs the resulting FilterPlan once per job before the map
+// phase, one scheduler task per filter, and hands the finished FilterSet
+// to every mapper (see docs/operators.md for which message kinds of each
+// operator are filter-eligible). Build and broadcast costs enter the
+// modeled clock via cost::FilterBuildCost / cost::FilterBroadcastCost
+// (DESIGN.md §5.3).
 #ifndef GUMBO_MR_FILTER_H_
 #define GUMBO_MR_FILTER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 namespace gumbo::mr {
@@ -33,9 +36,12 @@ namespace gumbo::mr {
 /// negative membership answer safe (docs/operators.md, "Filter rules").
 class BloomFilter {
  public:
-  /// Default target false-positive probability (ops::OpOptions can
-  /// override per plan).
-  static constexpr double kDefaultFpp = 0.01;
+  /// Default target false-positive probability, and the default of
+  /// ops::OpOptions::filter_fpp. 5% (~6.2 bits/key) balances filter
+  /// broadcast bytes against the shuffled bytes saved at the paper's
+  /// 100M-key relations; DESIGN.md §5.2 gives the sizing math and §5.3
+  /// the broadcast accounting.
+  static constexpr double kDefaultFpp = 0.05;
 
   /// An empty filter: contains nothing, occupies no bytes.
   BloomFilter() = default;
@@ -56,32 +62,28 @@ class BloomFilter {
 
   size_t num_bits() const { return words_.size() * 64; }
   int num_hashes() const { return num_hashes_; }
+  /// The bitset, 64 bits per word.
+  const std::vector<uint64_t>& words() const { return words_; }
 
  private:
   std::vector<uint64_t> words_;
   int num_hashes_ = 0;
 };
 
-/// The per-job collection of Bloom filters built by
-/// JobSpec::filter_builder before the map phase (DESIGN.md §5.2). The
-/// operator builder decides what each index means (MSJ: one filter per
-/// condition id; chain: one per step; 1-ROUND: one per key-group
-/// condition id — see docs/operators.md); mappers receive the set via
-/// Mapper::AttachFilters and address filters by those indices.
+/// The per-job collection of Bloom filters the engine builds from a
+/// FilterPlan before the map phase (DESIGN.md §5.2). The operator builder
+/// decides what each index means (MSJ: one filter per condition id;
+/// chain: one per step; 1-ROUND: one per key-group condition id — see
+/// docs/operators.md); mappers receive the set via Mapper::AttachFilters
+/// and address filters by those indices.
 class FilterSet {
  public:
-  /// Appends a filter, returning its index.
-  size_t Add(BloomFilter filter) {
-    filters_.push_back(std::move(filter));
-    return filters_.size() - 1;
-  }
+  explicit FilterSet(std::vector<BloomFilter> filters)
+      : filters_(std::move(filters)) {}
 
   const BloomFilter& filter(size_t i) const { return filters_[i]; }
-  /// Mutable access for the builder's insert pass.
-  BloomFilter* mutable_filter(size_t i) { return &filters_[i]; }
 
   size_t size() const { return filters_.size(); }
-  bool empty() const { return filters_.empty(); }
 
   /// Total bitset bytes across all filters (materialized; the engine
   /// scales by the representation scale, DESIGN.md §5.3).
@@ -91,15 +93,24 @@ class FilterSet {
     return b;
   }
 
-  /// Represented MB the builder scanned to populate the filters (the
-  /// conditional inputs it read); the cost model charges one local read
-  /// over it (cost::FilterBuildCost, DESIGN.md §5.3).
-  double scan_mb() const { return scan_mb_; }
-  void set_scan_mb(double mb) { scan_mb_ = mb; }
-
  private:
   std::vector<BloomFilter> filters_;
-  double scan_mb_ = 0.0;
+};
+
+/// A job's filters before their keys are inserted — what
+/// JobSpec::filter_builder returns (DESIGN.md §5.2). The engine calls
+/// `populate(f, &filters[f])` for every f as one scheduler task each, so
+/// every filter has exactly one writer: no merge, no atomics, and a bit
+/// pattern that does not depend on the worker count.
+struct FilterPlan {
+  /// Sized, still-empty filters, in FilterSet index order.
+  std::vector<BloomFilter> filters;
+  /// Represented MB the insert passes read; the cost model charges one
+  /// local read over it (cost::FilterBuildCost, DESIGN.md §5.3).
+  double scan_mb = 0.0;
+  /// Inserts every key of filter `f` into `filter`. Called concurrently
+  /// for distinct `f`.
+  std::function<void(size_t f, BloomFilter* filter)> populate;
 };
 
 }  // namespace gumbo::mr

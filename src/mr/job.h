@@ -52,7 +52,7 @@ class Mapper {
 
   /// Hands the mapper the job's Bloom filters (DESIGN.md §5.2) before any
   /// Map call; only invoked when JobSpec::filter_builder produced a
-  /// non-empty FilterSet. `filters` outlives the mapper. Mappers that
+  /// non-empty FilterPlan. `filters` outlives the mapper. Mappers that
   /// don't pre-filter ignore it.
   virtual void AttachFilters(const FilterSet* filters) { (void)filters; }
 
@@ -140,9 +140,11 @@ struct JobSpec {
   std::function<std::unique_ptr<Combiner>()> combiner_factory;
   /// Optional Bloom-filter construction (DESIGN.md §5.2): called once per
   /// job with the resolved input relations (JobSpec::inputs order) before
-  /// the map phase; the resulting FilterSet is attached to every mapper.
-  /// Build/broadcast costs are charged per DESIGN.md §5.3.
-  std::function<Result<FilterSet>(const std::vector<const Relation*>&)>
+  /// the map phase. The engine populates the plan's filters on the job's
+  /// scheduler, one task per filter, and attaches the resulting FilterSet
+  /// to every mapper. Build/broadcast costs are charged per DESIGN.md
+  /// §5.3.
+  std::function<FilterPlan(const std::vector<const Relation*>&)>
       filter_builder;
   /// Message packing (Gumbo §5.1 optimization (1)): all values emitted by
   /// one map task for the same key share a single key header on the wire.

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "mr/combiner.h"
+#include "ops/filters.h"
 #include "ops/messages.h"
 
 namespace gumbo::ops {
@@ -22,9 +23,7 @@ struct CompiledStep {
   // so its requests must flow. Asserts at keys no input tuple projects to
   // are dead weight for both polarities (the reducer only emits
   // requests), so assert-side filtering is always on.
-  bool bloom_filters = false;
   bool request_filter = false;
-  double filter_fpp = mr::BloomFilter::kDefaultFpp;
 };
 
 class ChainMapper : public mr::Mapper {
@@ -156,9 +155,7 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
       step.guard.IsIdentityProjection(compiled->key_vars);
   compiled->cond_key_identity =
       step.conditional.IsIdentityProjection(compiled->key_vars);
-  compiled->bloom_filters = options.bloom_filters;
   compiled->request_filter = options.bloom_filters && step.positive;
-  compiled->filter_fpp = options.filter_fpp;
 
   mr::JobSpec spec;
   spec.name = job_name;
@@ -190,39 +187,18 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
   if (options.combiners) {
     spec.combiner_factory = [] { return std::make_unique<mr::DedupCombiner>(); };
   }
-  if (compiled->bloom_filters) {
+  if (options.bloom_filters) {
     // Filter 0: the conditional's projected join keys (input 1), used to
-    // suppress requests on positive steps; filter 1: the input guard
-    // set's projected keys (input 0), used to suppress dead asserts.
-    spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)
-        -> Result<mr::FilterSet> {
-      const Relation* input = rels[0];
-      const Relation* cond = rels[1];
-      const ChainStepSpec& s = compiled->spec;
-      mr::FilterSet fs;
-      // Slot 0 stays empty (zero bytes) on anti-join steps.
-      fs.Add(compiled->request_filter
-                 ? mr::BloomFilter(cond->size(), compiled->filter_fpp)
-                 : mr::BloomFilter());
-      fs.Add(mr::BloomFilter(input->size(), compiled->filter_fpp));
-      if (compiled->request_filter) {
-        for (RowView fact : cond->views()) {
-          if (!s.conditional.Conforms(fact)) continue;
-          fs.mutable_filter(0)->Insert(
-              ShuffleKeyHash(s.conditional, compiled->cond_key_identity,
-                             compiled->key_vars, fact));
-        }
-      }
-      for (RowView fact : input->views()) {
-        if (s.filter_guard_pattern && !s.guard.Conforms(fact)) continue;
-        fs.mutable_filter(1)->Insert(
-            ShuffleKeyHash(s.guard, compiled->guard_key_identity,
-                           compiled->key_vars, fact));
-      }
-      fs.set_scan_mb((compiled->request_filter ? cond->SizeMb() : 0.0) +
-                     input->SizeMb());
-      return fs;
-    };
+    // suppress requests on positive steps — it stays empty (zero bytes)
+    // on anti-join steps; filter 1: the input guard set's projected keys
+    // (input 0), used to suppress dead asserts.
+    std::vector<std::vector<FilterPass>> passes(2);
+    if (compiled->request_filter) {
+      passes[0].emplace_back(1, step.conditional, compiled->key_vars);
+    }
+    passes[1].emplace_back(0, step.guard, compiled->key_vars,
+                           step.filter_guard_pattern);
+    spec.filter_builder = FilterBuilder(std::move(passes), options.filter_fpp);
   }
   return spec;
 }

@@ -1,0 +1,47 @@
+// Bloom-filter insert passes shared by the MSJ, chain and 1-ROUND
+// builders (DESIGN.md §5.2). An operator lists, per filter index, the
+// scans that feed it; FilterBuilder turns that list into the job's
+// JobSpec::filter_builder, and the engine runs it one filter per
+// scheduler task.
+#ifndef GUMBO_OPS_FILTERS_H_
+#define GUMBO_OPS_FILTERS_H_
+
+#include <cstddef>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "common/relation.h"
+#include "mr/filter.h"
+#include "sgf/atom.h"
+
+namespace gumbo::ops {
+
+/// One insert pass of a job filter: every fact of resolved input `input`
+/// that conforms to `atom` (every fact when `check_conforms` is false)
+/// inserts the ShuffleKeyHash of its projection onto `key_vars` — the
+/// figure the operator's mappers probe.
+struct FilterPass {
+  FilterPass(size_t input, sgf::Atom atom, std::vector<std::string> key_vars,
+             bool check_conforms = true);
+
+  size_t input;
+  sgf::Atom atom;
+  std::vector<std::string> key_vars;
+  bool check_conforms;
+  /// `atom.IsIdentityProjection(key_vars)`: the stored row fingerprint is
+  /// the key hash.
+  bool identity;
+};
+
+/// The JobSpec::filter_builder of a job whose filter f is fed by
+/// `passes[f]`. Filter f is sized for the summed rows of its passes'
+/// inputs at false-positive rate `fpp`; a filter without passes stays
+/// empty (zero bytes). FilterPlan::scan_mb counts each input some pass
+/// reads once.
+std::function<mr::FilterPlan(const std::vector<const Relation*>&)>
+FilterBuilder(std::vector<std::vector<FilterPass>> passes, double fpp);
+
+}  // namespace gumbo::ops
+
+#endif  // GUMBO_OPS_FILTERS_H_

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "mr/combiner.h"
+#include "ops/filters.h"
 #include "ops/messages.h"
 
 namespace gumbo::ops {
@@ -35,10 +36,6 @@ struct CompiledMsj {
   std::vector<std::vector<size_t>> cond_eqs_of_input;
   size_t num_conditions = 0;
   bool tuple_id_refs = true;
-  // Bloom pre-filtering (DESIGN.md §5.2): one filter per condition id
-  // (conditions sharing a signature share a filter, like Asserts).
-  bool bloom_filters = false;
-  double filter_fpp = mr::BloomFilter::kDefaultFpp;
 };
 
 class MsjMapper : public mr::Mapper {
@@ -273,70 +270,27 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
   // can carry — the reducer only ever emits Requests, so such Asserts are
   // dead weight).
   if (options.bloom_filters) {
-    compiled->bloom_filters = true;
-    compiled->filter_fpp = options.filter_fpp;
-    spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)
-        -> Result<mr::FilterSet> {
-      const size_t nc = compiled->num_conditions;
-      // Size each filter for the largest input feeding it.
-      std::vector<size_t> expected(2 * nc, 0);
-      for (size_t i = 0; i < rels.size(); ++i) {
-        for (size_t ei : compiled->cond_eqs_of_input[i]) {
-          const auto& eq = compiled->equations[ei];
-          expected[eq.cond_id] =
-              std::max(expected[eq.cond_id], rels[i]->size());
-        }
-        // Guard-side filters take one insert pass per (input, equation)
-        // and equations sharing a condition can read different guards,
-        // so size for the *sum* of contributing passes (a max would
-        // undersize the filter and inflate its false-positive rate).
-        for (size_t ei : compiled->guard_eqs_of_input[i]) {
-          const auto& eq = compiled->equations[ei];
-          expected[nc + eq.cond_id] += rels[i]->size();
+    const size_t nc = compiled->num_conditions;
+    std::vector<std::vector<FilterPass>> passes(2 * nc);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      // One conditional pass per distinct condition id: equations sharing
+      // a signature would insert the same keys twice.
+      std::set<uint32_t> cond_seen;
+      for (size_t ei : compiled->cond_eqs_of_input[i]) {
+        const auto& eq = compiled->equations[ei];
+        if (cond_seen.insert(eq.cond_id).second) {
+          passes[eq.cond_id].emplace_back(i, eq.conditional, eq.key_vars);
         }
       }
-      mr::FilterSet fs;
-      for (size_t f = 0; f < 2 * nc; ++f) {
-        fs.Add(mr::BloomFilter(expected[f], compiled->filter_fpp));
+      // Guard keys of every equation go into the union filter of its
+      // condition. Equations sharing a condition can read different
+      // guards, so the filter is sized for the sum of these passes.
+      for (size_t ei : compiled->guard_eqs_of_input[i]) {
+        const auto& eq = compiled->equations[ei];
+        passes[nc + eq.cond_id].emplace_back(i, eq.guard, eq.key_vars);
       }
-      double scan_mb = 0.0;
-      for (size_t i = 0; i < rels.size(); ++i) {
-        // Distinct condition ids per role: equations sharing a signature
-        // would insert the same conditional keys twice; guard keys go
-        // into the union filter of their equation's condition.
-        std::vector<size_t> cond_eqs;
-        std::set<uint32_t> cond_seen;
-        for (size_t ei : compiled->cond_eqs_of_input[i]) {
-          if (cond_seen.insert(compiled->equations[ei].cond_id).second) {
-            cond_eqs.push_back(ei);
-          }
-        }
-        const std::vector<size_t>& guard_eqs =
-            compiled->guard_eqs_of_input[i];
-        if (cond_eqs.empty() && guard_eqs.empty()) continue;
-        scan_mb += rels[i]->SizeMb();
-        // View-based scan; ShuffleKeyHash keeps the inserted figure in
-        // lockstep with what the mappers probe.
-        for (RowView fact : rels[i]->views()) {
-          for (size_t ei : cond_eqs) {
-            const auto& eq = compiled->equations[ei];
-            if (!eq.conditional.Conforms(fact)) continue;
-            fs.mutable_filter(eq.cond_id)
-                ->Insert(ShuffleKeyHash(eq.conditional, eq.cond_key_identity,
-                                        eq.key_vars, fact));
-          }
-          for (size_t ei : guard_eqs) {
-            const auto& eq = compiled->equations[ei];
-            if (!eq.guard.Conforms(fact)) continue;
-            fs.mutable_filter(nc + eq.cond_id)
-                ->Insert(ShuffleKeyHash(eq.guard, eq.guard_key_identity,
-                                        eq.key_vars, fact));
-          }
-        }
-      }
-      fs.set_scan_mb(scan_mb);
-      return fs;
-    };
+    }
+    spec.filter_builder = FilterBuilder(std::move(passes), options.filter_fpp);
   }
   return spec;
 }

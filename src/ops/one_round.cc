@@ -6,6 +6,7 @@
 #include <set>
 
 #include "mr/combiner.h"
+#include "ops/filters.h"
 #include "ops/messages.h"
 
 namespace gumbo::ops {
@@ -62,7 +63,6 @@ struct CompiledOneRound {
   };
   std::vector<Task> tasks;
   size_t num_filters = 0;
-  double filter_fpp = mr::BloomFilter::kDefaultFpp;
   struct CondRoute {
     size_t task;
     size_t group;
@@ -407,77 +407,35 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
   if (options.combiners) {
     spec.combiner_factory = [] { return std::make_unique<mr::DedupCombiner>(); };
   }
-  compiled->filter_fpp = options.filter_fpp;
   if (options.bloom_filters && compiled->num_filters > 0) {
-    spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)
-        -> Result<mr::FilterSet> {
-      // Size each filter for the largest input routed to it.
-      std::vector<size_t> expected(compiled->num_filters, 0);
-      for (size_t i = 0; i < rels.size(); ++i) {
-        for (const auto& route : compiled->cond_routes_of_input[i]) {
-          const KeyGroup& g =
-              compiled->tasks[route.task].groups[route.group];
-          if (!g.can_filter) continue;
-          const size_t fid = g.filter_base + route.cond_id;
-          expected[fid] = std::max(expected[fid], rels[i]->size());
-        }
-        for (size_t ti : compiled->guard_tasks_of_input[i]) {
-          for (const KeyGroup& g : compiled->tasks[ti].groups) {
-            if (g.assert_filter == SIZE_MAX) continue;
-            expected[g.assert_filter] =
-                std::max(expected[g.assert_filter], rels[i]->size());
-          }
+    std::vector<std::vector<FilterPass>> passes(compiled->num_filters);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      // One pass per request filter id and input: atoms sharing a
+      // condition signature would insert the same keys twice.
+      std::set<size_t> fid_seen;
+      for (const auto& route : compiled->cond_routes_of_input[i]) {
+        const auto& task = compiled->tasks[route.task];
+        const KeyGroup& g = task.groups[route.group];
+        if (!g.can_filter) continue;
+        const size_t fid = g.filter_base + route.cond_id;
+        if (fid_seen.insert(fid).second) {
+          passes[fid].emplace_back(
+              i, task.query.conditional_atoms()[route.atom_index],
+              g.key_vars);
         }
       }
-      mr::FilterSet fs;
-      for (size_t f = 0; f < compiled->num_filters; ++f) {
-        fs.Add(mr::BloomFilter(expected[f], compiled->filter_fpp));
-      }
-      double scan_mb = 0.0;
-      for (size_t i = 0; i < rels.size(); ++i) {
-        // One representative route per request filter id: atoms sharing a
-        // condition signature would insert the same keys twice.
-        std::vector<const CompiledOneRound::CondRoute*> distinct;
-        std::set<size_t> fid_seen;
-        for (const auto& route : compiled->cond_routes_of_input[i]) {
-          const KeyGroup& g =
-              compiled->tasks[route.task].groups[route.group];
-          if (!g.can_filter) continue;
-          if (fid_seen.insert(g.filter_base + route.cond_id).second) {
-            distinct.push_back(&route);
-          }
-        }
-        // Guard side: every eligible group of every task guarded by this
-        // input feeds its assert filter.
-        std::vector<std::pair<size_t, const KeyGroup*>> guard_groups;
-        for (size_t ti : compiled->guard_tasks_of_input[i]) {
-          for (const KeyGroup& g : compiled->tasks[ti].groups) {
-            if (g.assert_filter != SIZE_MAX) guard_groups.push_back({ti, &g});
-          }
-        }
-        if (distinct.empty() && guard_groups.empty()) continue;
-        scan_mb += rels[i]->SizeMb();
-        for (RowView fact : rels[i]->views()) {
-          for (const auto* route : distinct) {
-            const auto& task = compiled->tasks[route->task];
-            const sgf::Atom& atom =
-                task.query.conditional_atoms()[route->atom_index];
-            if (!atom.Conforms(fact)) continue;
-            const KeyGroup& g = task.groups[route->group];
-            fs.mutable_filter(g.filter_base + route->cond_id)
-                ->Insert(atom.Project(fact, g.key_vars).Hash());
-          }
-          for (const auto& [ti, g] : guard_groups) {
-            const sgf::Atom& guard = compiled->tasks[ti].query.guard();
-            if (!guard.Conforms(fact)) continue;
-            fs.mutable_filter(g->assert_filter)
-                ->Insert(guard.Project(fact, g->key_vars).Hash());
-          }
+      // Guard side: every eligible group of every task guarded by this
+      // input feeds its assert filter.
+      for (size_t ti : compiled->guard_tasks_of_input[i]) {
+        const auto& task = compiled->tasks[ti];
+        for (const KeyGroup& g : task.groups) {
+          if (g.assert_filter == SIZE_MAX) continue;
+          passes[g.assert_filter].emplace_back(i, task.query.guard(),
+                                               g.key_vars);
         }
       }
-      fs.set_scan_mb(scan_mb);
-      return fs;
-    };
+    }
+    spec.filter_builder = FilterBuilder(std::move(passes), options.filter_fpp);
   }
   return spec;
 }

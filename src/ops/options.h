@@ -22,11 +22,9 @@ struct OpOptions {
   /// whose join key provably has no conditional match never emit a
   /// Request. Per-operator eligibility rules in docs/operators.md.
   bool bloom_filters = true;
-  /// Target false-positive probability of the key filters. 5% (~6.2
-  /// bits/key) balances filter broadcast bytes against the shuffled
-  /// bytes saved at the paper's 100M-key relations; DESIGN.md §5.2 gives
-  /// the sizing math and §5.3 the broadcast accounting.
-  double filter_fpp = 0.05;
+  /// Target false-positive probability of the key filters (see
+  /// mr::BloomFilter::kDefaultFpp for why 5%).
+  double filter_fpp = mr::BloomFilter::kDefaultFpp;
 };
 
 /// Applies the GUMBO_DISABLE_COMBINERS / GUMBO_DISABLE_FILTERS

@@ -12,12 +12,16 @@
 #include "mr/engine.h"
 #include "mr/filter.h"
 #include "mr/program.h"
+#include "ops/chain.h"
+#include "ops/msj.h"
+#include "ops/one_round.h"
 #include "test_util.h"
 
 namespace gumbo::mr {
 namespace {
 
 using ::gumbo::testing::MakeRelation;
+using ::gumbo::testing::ParseBsgfOrDie;
 using ::gumbo::testing::RowsOf;
 
 // A toy job: groups input tuples by first attribute and counts them.
@@ -503,15 +507,17 @@ TEST(EngineTest, FilterBuilderAttachesAndAccounts) {
   spec.mapper_factory = [] { return std::make_unique<FilteringMapper>(); };
   spec.reducer_factory = [] { return std::make_unique<KeyCountReducer>(); };
   // Filter admits only even keys.
-  spec.filter_builder =
-      [](const std::vector<const Relation*>& rels) -> Result<FilterSet> {
-    FilterSet fs;
-    fs.Add(BloomFilter(rels[0]->size(), 0.01));
-    for (RowView t : rels[0]->views()) {
-      if (t[0].AsInt() % 2 == 0) fs.mutable_filter(0)->Insert(Tuple{t[0]}.Hash());
-    }
-    fs.set_scan_mb(rels[0]->SizeMb());
-    return fs;
+  spec.filter_builder = [](const std::vector<const Relation*>& rels) {
+    FilterPlan plan;
+    plan.filters.emplace_back(rels[0]->size(), 0.01);
+    plan.scan_mb = rels[0]->SizeMb();
+    const Relation* in = rels[0];
+    plan.populate = [in](size_t, BloomFilter* filter) {
+      for (RowView t : in->views()) {
+        if (t[0].AsInt() % 2 == 0) filter->Insert(Tuple{t[0]}.Hash());
+      }
+    };
+    return plan;
   };
 
   Engine engine(SmallCluster());
@@ -523,6 +529,140 @@ TEST(EngineTest, FilterBuilderAttachesAndAccounts) {
   EXPECT_GT(stats->filter_broadcast_mb, 0.0);
   EXPECT_GT(stats->filter_build_cost, 0.0);
   EXPECT_GE(db.Get("Out").value()->size(), 50u);  // evens always survive
+}
+
+// ---- Filters built on the scheduler (DESIGN.md §5.2) ------------------------
+
+// R(x, y) plus unary S, T and binary U over a small domain, so filters
+// see both hits and duplicate keys.
+Database FilterDb() {
+  Database db;
+  Xoshiro256 rng(11);
+  auto fill = [&](const std::string& name, uint32_t arity, size_t rows) {
+    Relation rel(name, arity);
+    for (size_t i = 0; i < rows; ++i) {
+      Tuple t;
+      for (uint32_t c = 0; c < arity; ++c) {
+        t.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(600))));
+      }
+      EXPECT_OK(rel.Add(std::move(t)));
+    }
+    db.Put(std::move(rel));
+  };
+  fill("R", 2, 3000);
+  fill("S", 1, 900);
+  fill("T", 1, 700);
+  fill("U", 2, 1200);
+  return db;
+}
+
+// One scan of the test-local serial reference: every row of `dataset`
+// inserts the hash of its `cols` projection.
+struct SerialPass {
+  std::string dataset;
+  std::vector<uint32_t> cols;
+};
+
+// Test-local serial insert loop: the filter sized for the summed rows of
+// its passes, keys inserted row by row on the calling thread.
+std::vector<uint64_t> SerialFilterWords(const Database& db,
+                                        const std::vector<SerialPass>& passes) {
+  if (passes.empty()) return {};
+  size_t rows = 0;
+  for (const SerialPass& p : passes) rows += db.Get(p.dataset).value()->size();
+  BloomFilter filter(rows, BloomFilter::kDefaultFpp);
+  for (const SerialPass& p : passes) {
+    for (RowView row : db.Get(p.dataset).value()->views()) {
+      Tuple key;
+      for (uint32_t c : p.cols) key.PushBack(row[c]);
+      filter.Insert(key.Hash());
+    }
+  }
+  return filter.words();
+}
+
+// The filter words the engine builds for `spec` on a `workers`-worker
+// scheduler.
+std::vector<std::vector<uint64_t>> EngineFilterWords(const JobSpec& spec,
+                                                     const Database& db,
+                                                     size_t workers) {
+  Scheduler sched(workers);
+  Engine engine(SmallCluster(), &sched);
+  auto exec = JobExecution::Prepare(engine, spec, db, {});
+  EXPECT_OK(exec);
+  std::vector<std::vector<uint64_t>> words;
+  if (!exec.ok() || (*exec)->filters() == nullptr) return words;
+  const FilterSet& fs = *(*exec)->filters();
+  for (size_t f = 0; f < fs.size(); ++f) words.push_back(fs.filter(f).words());
+  return words;
+}
+
+void ExpectFilterWords(const JobSpec& spec, const Database& db,
+                       const std::vector<std::vector<SerialPass>>& reference) {
+  std::vector<std::vector<uint64_t>> expected;
+  for (const auto& passes : reference) {
+    expected.push_back(SerialFilterWords(db, passes));
+  }
+  for (size_t workers : {1, 8}) {
+    EXPECT_EQ(EngineFilterWords(spec, db, workers), expected)
+        << spec.name << " at " << workers << " workers";
+  }
+}
+
+TEST(FilterBuildTest, MsjFiltersMatchSerialBuildAtAnyWorkerCount) {
+  const Database db = FilterDb();
+  std::vector<ops::SemiJoinEquation> eqs(3);
+  eqs[0] = {"Z0", sgf::Atom::Vars("R", {"x", "y"}), "R",
+            sgf::Atom::Vars("S", {"x"}), "S"};
+  eqs[1] = {"Z1", sgf::Atom::Vars("R", {"x", "y"}), "R",
+            sgf::Atom::Vars("T", {"y"}), "T"};
+  // A second guard on condition S(x): its guard filter sums two passes.
+  eqs[2] = {"Z2", sgf::Atom::Vars("U", {"x", "z"}), "U",
+            sgf::Atom::Vars("S", {"x"}), "S"};
+  auto spec = ops::BuildMsjJob(eqs, ops::OpOptions{}, "msj");
+  ASSERT_OK(spec);
+  // Conditional filters per condition id, then guard filters.
+  ExpectFilterWords(*spec, db,
+                    {{{"S", {0}}},
+                     {{"T", {0}}},
+                     {{"R", {0}}, {"U", {0}}},
+                     {{"R", {1}}}});
+}
+
+TEST(FilterBuildTest, ChainFiltersMatchSerialBuildAtAnyWorkerCount) {
+  const Database db = FilterDb();
+  for (bool positive : {true, false}) {
+    ops::ChainStepSpec step;
+    step.guard = sgf::Atom::Vars("R", {"x", "y"});
+    step.input_dataset = "R";
+    step.conditional = sgf::Atom::Vars("U", {"z", "y"});
+    step.conditional_dataset = "U";
+    step.positive = positive;
+    step.filter_guard_pattern = true;
+    step.output_dataset = "Out";
+    auto spec = ops::BuildChainStepJob(step, ops::OpOptions{}, "chain");
+    ASSERT_OK(spec);
+    // Anti-join steps keep their requests: filter 0 stays empty.
+    std::vector<SerialPass> request;
+    if (positive) request.push_back({"U", {1}});
+    ExpectFilterWords(*spec, db, {request, {{"R", {1}}}});
+  }
+}
+
+TEST(FilterBuildTest, OneRoundFiltersMatchSerialBuildAtAnyWorkerCount) {
+  const Database db = FilterDb();
+  ops::OneRoundTask task;
+  task.query =
+      ParseBsgfOrDie("Z := SELECT (x, y) FROM R(x, y) WHERE S(x) OR T(y);");
+  task.guard_dataset = "R";
+  task.conditional_datasets = {"S", "T"};
+  task.output_dataset = "Z";
+  auto spec = ops::BuildOneRoundJob({task}, ops::OpOptions{}, "oneround");
+  ASSERT_OK(spec);
+  // One key group per join key: its request filter, then its assert
+  // (guard-key) filter.
+  ExpectFilterWords(*spec, db,
+                    {{{"S", {0}}}, {{"R", {0}}}, {{"T", {0}}}, {{"R", {1}}}});
 }
 
 TEST(ProgramTest, RoundsIsLongestChain) {

@@ -242,11 +242,18 @@ TEST(ShuffleFlatTest, MatchesReferenceRepresentationOnRandomStreams) {
         MapOutputBuffer buffer;
         const size_t n = 100 + rng.Uniform(100);
         for (size_t e = 0; e < n; ++e) {
-          // Small key domain -> plenty of shared keys; mixed arity.
+          // Small key domain -> plenty of shared keys; arity 0..4 covers
+          // the refs' two inlined key words, the arity-2 tie-break, and
+          // the key-arena fallback from the third word on. Half the keys
+          // share one constant first word (the EVAL (task, tuple) shape),
+          // so the second word decides.
           Tuple key;
-          const uint32_t key_arity = 1 + rng.Uniform(2);
+          const uint32_t key_arity = rng.Uniform(5);
+          const bool shared_first = rng.Uniform(2) == 0;
           for (uint32_t i = 0; i < key_arity; ++i) {
-            key.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(8))));
+            int64_t v = static_cast<int64_t>(rng.Uniform(i < 2 ? 8 : 3));
+            if (i == 0 && shared_first) v = 3;
+            key.PushBack(Value::Int(v));
           }
           CollectedMessage msg;
           msg.tag = 1 + static_cast<uint32_t>(rng.Uniform(2));
