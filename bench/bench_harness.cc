@@ -24,9 +24,6 @@ BenchOptions BenchOptions::FromEnv() {
   BenchOptions o;
   o.tuples = cfg.bench_tuples.value_or(o.tuples);
   o.seed = cfg.bench_seed.value_or(o.seed);
-  if (cfg.bench_sequential.value_or(false)) {
-    o.runtime.concurrent_jobs = false;
-  }
   return o;
 }
 
@@ -40,7 +37,6 @@ CellResult RunStrategy(const data::Workload& w, plan::Strategy strategy,
   popts.op = op;
   plan::Planner planner(options.cluster, popts);
   mr::Engine engine(options.cluster);
-  mr::Runtime runtime(&engine, options.runtime);
   Database db = w.db;
   const auto plan_start = std::chrono::steady_clock::now();
   auto plan = planner.Plan(w.query, db);
@@ -49,7 +45,7 @@ CellResult RunStrategy(const data::Workload& w, plan::Strategy strategy,
     cell.error = plan.status().ToString();
     return cell;
   }
-  auto result = plan::ExecutePlan(*plan, runtime, &db);
+  auto result = plan::ExecutePlan(*plan, &engine, &db);
   if (!result.ok()) {
     cell.error = result.status().ToString();
     return cell;
@@ -71,9 +67,8 @@ CellResult RunBaseline(const data::Workload& w, baselines::BaselineKind kind,
     return cell;
   }
   mr::Engine engine(options.cluster);
-  mr::Runtime runtime(&engine, options.runtime);
   Database db = w.db;
-  auto result = plan::ExecutePlan(*plan, runtime, &db);
+  auto result = plan::ExecutePlan(*plan, &engine, &db);
   if (!result.ok()) {
     cell.error = result.status().ToString();
     return cell;

@@ -64,11 +64,11 @@ StudyRun RunOne(const sgf::SgfQuery& query, const Database& db,
   auto plan = planner.Plan(query, db);
   if (!plan.ok()) return {};
   mr::Engine engine(cluster);
-  mr::Runtime runtime(&engine);
+  plan::ExecutionContext ctx;
+  ctx.calibration = feed;
   Database out;
-  auto run = plan::ExecutePlanOnSnapshot(*plan, runtime, db, &out);
+  auto run = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &out, ctx);
   if (!run.ok()) return {};
-  if (feed != nullptr) plan::CalibrateFromExecution(*plan, run->stats, feed);
   // ChoosePlan ranks by summed estimated job cost — the §5.3 total-time
   // analogue — so the observed ground truth is total (cluster work) time.
   return {true, run->metrics.total_time};

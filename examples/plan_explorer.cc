@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     std::printf(
         "scheduler: max %d jobs/round | peak %d concurrent | wall %.1f ms\n",
         result->metrics.max_jobs_per_round,
-        result->metrics.peak_concurrent_jobs, result->metrics.wall_ms);
+        result->metrics.peak_running_jobs, result->metrics.wall_ms);
     for (const auto& q : query->subqueries()) {
       std::printf("  %s: %zu tuples\n", q.output().c_str(),
                   work.Get(q.output()).value()->size());

@@ -127,7 +127,6 @@ RuntimeConfig RuntimeConfig::FromEnv() {
   if (const char* v = std::getenv("GUMBO_BENCH_SEED")) {
     c.bench_seed = std::strtoull(v, nullptr, 10);
   }
-  c.bench_sequential = Flag(std::getenv("GUMBO_BENCH_SEQUENTIAL"));
   // Presence alone enables phase output (even "0" did historically).
   if (std::getenv("GUMBO_BENCH_PHASES") != nullptr) c.bench_phases = true;
   return c;
@@ -163,7 +162,6 @@ std::string RuntimeConfig::Describe() const {
   DescribeKnob(&s, "GUMBO_SOAK_MUTATE", soak_mutate);
   DescribeKnob(&s, "GUMBO_BENCH_TUPLES", bench_tuples);
   DescribeKnob(&s, "GUMBO_BENCH_SEED", bench_seed);
-  DescribeKnob(&s, "GUMBO_BENCH_SEQUENTIAL", bench_sequential);
   DescribeKnob(&s, "GUMBO_BENCH_PHASES", bench_phases);
   return s;
 }

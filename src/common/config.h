@@ -55,7 +55,6 @@ struct RuntimeConfig {
   // ---- Benchmarks ----
   std::optional<size_t> bench_tuples;     ///< GUMBO_BENCH_TUPLES (>= 100)
   std::optional<uint64_t> bench_seed;     ///< GUMBO_BENCH_SEED
-  std::optional<bool> bench_sequential;   ///< GUMBO_BENCH_SEQUENTIAL
   std::optional<bool> bench_phases;       ///< GUMBO_BENCH_PHASES (presence)
 
   /// Fresh parse of the process environment. Unparseable values leave

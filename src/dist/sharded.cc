@@ -433,8 +433,7 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
   Transport* tp = cluster_.transport;
   if (S <= 1) {
     // Degenerate cluster: the single-process runtime IS the semantics.
-    mr::Runtime rt(engine_, options_);
-    return rt.Execute(program, db, ctx);
+    return mr::Runtime(engine_).Execute(program, db, ctx);
   }
   if (tp == nullptr || tp->endpoints() < S) {
     return Status::InvalidArgument(
@@ -535,11 +534,9 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
 Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
                                              const mr::Program& program,
                                              Database* db, int shards,
-                                             const SchedContext& ctx,
-                                             mr::RuntimeOptions options) {
+                                             const SchedContext& ctx) {
   if (shards <= 1) {
-    mr::Runtime rt(engine, options);
-    return rt.Execute(program, db, ctx);
+    return mr::Runtime(engine).Execute(program, db, ctx);
   }
   InProcTransport tp(shards);
   // Every shard — coordinator included — executes against its own
@@ -558,7 +555,7 @@ Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
     threads.reserve(static_cast<size_t>(shards));
     for (int s = 0; s < shards; ++s) {
       threads.emplace_back([&, s] {
-        ShardedRuntime rt(engine, Cluster{&tp, s, shards}, options);
+        ShardedRuntime rt(engine, Cluster{&tp, s, shards});
         results[static_cast<size_t>(s)] =
             rt.Execute(program, &replicas[static_cast<size_t>(s)], ctx);
       });

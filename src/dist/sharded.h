@@ -48,9 +48,8 @@ class ShardedRuntime {
  public:
   /// `engine` and `cluster.transport` are borrowed. Every shard of the
   /// cluster must construct an equivalent runtime (same engine config).
-  ShardedRuntime(mr::Engine* engine, Cluster cluster,
-                 mr::RuntimeOptions options = {})
-      : engine_(engine), cluster_(cluster), options_(options) {}
+  ShardedRuntime(mr::Engine* engine, Cluster cluster)
+      : engine_(engine), cluster_(cluster) {}
 
   const Cluster& cluster() const { return cluster_; }
 
@@ -72,7 +71,6 @@ class ShardedRuntime {
 
   mr::Engine* engine_;
   Cluster cluster_;
-  mr::RuntimeOptions options_;
 };
 
 /// Convenience harness: runs `program` across `shards` in-process worker
@@ -84,8 +82,7 @@ class ShardedRuntime {
 Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
                                              const mr::Program& program,
                                              Database* db, int shards,
-                                             const SchedContext& ctx = {},
-                                             mr::RuntimeOptions options = {});
+                                             const SchedContext& ctx = {});
 
 }  // namespace gumbo::dist
 

@@ -54,8 +54,8 @@ class Program {
 
 /// Executes every job of `program` against `db` using `engine`, then
 /// simulates cluster scheduling to produce net/total time. Convenience
-/// wrapper over mr::Runtime with default options: jobs of the same
-/// dependency round run concurrently on the engine's thread pool.
+/// wrapper over mr::Runtime: jobs of the same dependency round run
+/// concurrently on the engine's thread pool.
 Result<ProgramStats> RunProgram(const Program& program, Engine* engine,
                                 Database* db);
 

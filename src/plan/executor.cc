@@ -3,15 +3,15 @@
 #include <algorithm>
 
 #include "dist/sharded.h"
-#include "sgf/naive_eval.h"
+#include "mr/runtime.h"
 
 namespace gumbo::plan {
 
 namespace {
 
-// One dispatch for every context-driven entry point: a real cluster shard
-// wins over the local harness, which wins over the plain runtime. All
-// three produce byte-identical outputs (DESIGN.md §13).
+// One dispatch for every execution: a real cluster shard wins over the
+// local harness, which wins over the plain runtime. All three produce
+// byte-identical outputs (DESIGN.md §13).
 Result<mr::ProgramStats> RunProgram(const mr::Program& program,
                                     mr::Engine* engine, Database* db,
                                     const ExecutionContext& ctx) {
@@ -27,7 +27,7 @@ Result<mr::ProgramStats> RunProgram(const mr::Program& program,
 }
 
 // The paper's four metrics plus the shuffle/round counters, derived from
-// the program statistics — shared by every execution entry point.
+// the program statistics.
 void FillMetrics(ExecutionResult* result) {
   // Full reset first: Metrics also carries serving fields (plan_cache_hit,
   // queue_ms, sched_wait_ms) that this derivation does not touch, and
@@ -56,7 +56,7 @@ void FillMetrics(ExecutionResult* result) {
     m.max_jobs_per_round =
         std::max(m.max_jobs_per_round, static_cast<int>(r.jobs.size()));
   }
-  m.peak_concurrent_jobs = result->stats.MaxConcurrentJobs();
+  m.peak_running_jobs = result->stats.MaxConcurrentJobs();
   m.task_retries = result->stats.TaskRetries();
   m.faults_injected = result->stats.FaultsInjected();
   m.retry_ms = result->stats.RetryMs();
@@ -64,87 +64,23 @@ void FillMetrics(ExecutionResult* result) {
 
 }  // namespace
 
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan,
-                                    const mr::Runtime& runtime, Database* db,
-                                    const SchedContext& ctx) {
-  ExecutionResult result;
-  GUMBO_ASSIGN_OR_RETURN(result.stats, runtime.Execute(plan.program, db, ctx));
-  for (const std::string& name : plan.intermediates) {
-    db->Erase(name);
-  }
-  FillMetrics(&result);
-  return result;
-}
-
-Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
-                                              const mr::Runtime& runtime,
-                                              const Database& base,
-                                              Database* outputs,
-                                              const SchedContext& ctx) {
-  // All writes (intermediates, outputs) land in the overlay; `base` is
-  // only ever read, so concurrent snapshot executions need no locking.
-  Database overlay(&base);
-  ExecutionResult result;
-  GUMBO_ASSIGN_OR_RETURN(result.stats,
-                         runtime.Execute(plan.program, &overlay, ctx));
-  for (const std::string& name : plan.outputs) {
-    GUMBO_ASSIGN_OR_RETURN(Relation * rel, overlay.GetMutable(name));
-    outputs->Put(std::move(*rel));
-  }
-  FillMetrics(&result);
-  return result;
-}
-
-Result<ExecutionResult> ExecutePlanWithOverrides(const QueryPlan& plan,
-                                                 const mr::Runtime& runtime,
-                                                 const Database& base,
-                                                 const Database& overrides,
-                                                 Database* outputs,
-                                                 const SchedContext& ctx) {
-  Database overlay(&base);
-  // Shadow first: a local relation wins over the base namesake for every
-  // read, so the plan sees the delta slice wherever it would have read
-  // the full relation. The slices are small by construction — copying
-  // them into the per-query overlay keeps `overrides` reusable.
-  for (const auto& [name, rel] : overrides.relations()) {
-    overlay.Put(rel);
-  }
-  ExecutionResult result;
-  GUMBO_ASSIGN_OR_RETURN(result.stats,
-                         runtime.Execute(plan.program, &overlay, ctx));
-  for (const std::string& name : plan.outputs) {
-    GUMBO_ASSIGN_OR_RETURN(Relation * rel, overlay.GetMutable(name));
-    outputs->Put(std::move(*rel));
-  }
-  FillMetrics(&result);
-  return result;
-}
-
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
-                                    Database* db) {
-  return ExecutePlan(plan, mr::Runtime(engine), db);
-}
-
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
-                                    Database* db,
-                                    const ExecutionContext& ctx) {
-  ExecutionResult result;
-  GUMBO_ASSIGN_OR_RETURN(result.stats,
-                         RunProgram(plan.program, engine, db, ctx));
-  for (const std::string& name : plan.intermediates) {
-    db->Erase(name);
-  }
-  FillMetrics(&result);
-  CalibrateFromExecution(plan, result.stats, ctx.calibration);
-  return result;
-}
-
 Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
                                               mr::Engine* engine,
                                               const Database& base,
                                               Database* outputs,
                                               const ExecutionContext& ctx) {
+  // All writes (intermediates, outputs) land in the overlay; `base` is
+  // only ever read, so concurrent snapshot executions need no locking.
   Database overlay(&base);
+  if (ctx.overrides != nullptr) {
+    // Shadow first: a local relation wins over the base namesake for
+    // every read, so the plan sees the delta slice wherever it would have
+    // read the full relation. The slices are small by construction —
+    // copying them into the per-query overlay keeps `overrides` reusable.
+    for (const auto& [name, rel] : ctx.overrides->relations()) {
+      overlay.Put(rel);
+    }
+  }
   ExecutionResult result;
   GUMBO_ASSIGN_OR_RETURN(result.stats,
                          RunProgram(plan.program, engine, &overlay, ctx));
@@ -157,35 +93,10 @@ Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
   return result;
 }
 
-Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
-                                         const Planner& planner,
-                                         const mr::Runtime& runtime,
-                                         Database* db) {
-  // Reference run first, on the pristine database.
-  GUMBO_ASSIGN_OR_RETURN(Database expected, sgf::NaiveEvalSgf(query, *db));
-
-  GUMBO_ASSIGN_OR_RETURN(QueryPlan plan, planner.Plan(query, *db));
-  GUMBO_ASSIGN_OR_RETURN(ExecutionResult result,
-                         ExecutePlan(plan, runtime, db));
-
-  for (const auto& q : query.subqueries()) {
-    GUMBO_ASSIGN_OR_RETURN(const Relation* got, db->Get(q.output()));
-    GUMBO_ASSIGN_OR_RETURN(const Relation* want, expected.Get(q.output()));
-    if (!got->SetEquals(*want)) {
-      return Status::FailedPrecondition(
-          "strategy " + std::string(StrategyName(planner.options().strategy)) +
-          " produced wrong result for " + q.output() + ": got " +
-          std::to_string(got->size()) + " tuples, reference has " +
-          std::to_string(want->size()));
-    }
-  }
-  return result;
-}
-
-Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
-                                         const Planner& planner,
-                                         mr::Engine* engine, Database* db) {
-  return ExecuteAndVerify(query, planner, mr::Runtime(engine), db);
+Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
+                                    Database* db,
+                                    const ExecutionContext& ctx) {
+  return ExecutePlanOnSnapshot(plan, engine, *db, db, ctx);
 }
 
 void CalibrateFromExecution(const QueryPlan& plan,

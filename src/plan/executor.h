@@ -1,6 +1,6 @@
 // Plan execution: runs a QueryPlan's MR program on the round runtime,
-// collects the paper's metrics, cleans up intermediates, and (optionally)
-// verifies results against the naive reference evaluator.
+// keeps its intermediates out of the caller's database, and collects the
+// paper's metrics.
 #ifndef GUMBO_PLAN_EXECUTOR_H_
 #define GUMBO_PLAN_EXECUTOR_H_
 
@@ -9,9 +9,7 @@
 #include "cost/calibration.h"
 #include "dist/cluster.h"
 #include "mr/program.h"
-#include "mr/runtime.h"
 #include "plan/planner.h"
-#include "sgf/sgf.h"
 
 namespace gumbo::plan {
 
@@ -36,6 +34,13 @@ struct ExecutionContext {
   /// dist::ExecuteShardedLocal: `local_shards` in-process worker shards
   /// over an InProcTransport, byte-identical to the default path.
   int local_shards = 1;
+  /// When set, every relation in it shadows its base namesake for the
+  /// whole run — delta-mode execution (DESIGN.md §12): a cached plan
+  /// re-executes over delta slices instead of the full relations. The
+  /// caller (serve::QueryService) guarantees via serve::PlanDelta that
+  /// shadowed names occur only in guard position, so the run produces
+  /// exactly the delta of each dirty output. Borrowed.
+  const Database* overrides = nullptr;
 };
 
 /// The paper's four performance metrics (§5.1) plus bookkeeping.
@@ -66,7 +71,7 @@ struct Metrics {
   /// Largest number of jobs sharing one round (plan structure).
   int max_jobs_per_round = 0;
   /// Observed peak of concurrently-executing jobs (runtime behavior).
-  int peak_concurrent_jobs = 0;
+  int peak_running_jobs = 0;
   // ---- Serving-layer bookkeeping (DESIGN.md §8, §12) ----
   // Filled by serve::QueryService; zero/false for direct ExecutePlan calls.
   bool plan_cache_hit = false;  ///< lowered plan came from the plan cache
@@ -103,75 +108,32 @@ struct ExecutionResult {
   mr::ProgramStats stats;
 };
 
-/// Executes `plan` against `db` (which must hold the base relations) on
-/// `runtime`. On success the produced output relations are left in `db`
-/// and all intermediate datasets are dropped.
+/// Executes `plan` against the immutable snapshot `base` without writing
+/// to it: intermediates and outputs materialize in a private overlay
+/// (Database overlay views, common/relation.h), each relation of
+/// `ctx.overrides` shadows its base namesake there, and on success the
+/// plan's declared output relations are moved into `*outputs`; a failed
+/// run moves nothing. Dispatches to the plain round runtime, a real
+/// cluster shard, or the local sharded harness according to `ctx`, and
+/// feeds `ctx.calibration` when set.
 ///
 /// A lowered QueryPlan is a reusable, immutable artifact: execution never
 /// writes into it (job factories instantiate fresh mappers/reducers per
 /// task), so one plan may be executed many times — including concurrently
-/// from multiple threads via ExecutePlanOnSnapshot — which is what makes
-/// the serve-layer plan cache sound (DESIGN.md §8).
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan,
-                                    const mr::Runtime& runtime, Database* db,
-                                    const SchedContext& ctx = {});
-
-/// Executes `plan` against the immutable snapshot `base` without writing
-/// to it: intermediates and outputs materialize in a private overlay
-/// (Database overlay views, common/relation.h), and the plan's declared
-/// output relations are moved into `*outputs` on success. Many callers may
-/// run plans against the same `base` concurrently, as long as nothing
-/// mutates `base` meanwhile — the admission scheduler's contract.
-Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
-                                              const mr::Runtime& runtime,
-                                              const Database& base,
-                                              Database* outputs,
-                                              const SchedContext& ctx = {});
-
-/// Delta-mode execution (DESIGN.md §12): like ExecutePlanOnSnapshot, but
-/// every relation in `overrides` shadows its base namesake for the whole
-/// run, so a cached plan re-executes over delta slices instead of the
-/// full relations. The caller (serve::QueryService) guarantees via
-/// serve::PlanDelta that shadowed names occur only in guard position, so
-/// the run produces exactly the delta of each dirty output. Output
-/// relations land in `*outputs` as usual.
-Result<ExecutionResult> ExecutePlanWithOverrides(const QueryPlan& plan,
-                                                 const mr::Runtime& runtime,
-                                                 const Database& base,
-                                                 const Database& overrides,
-                                                 Database* outputs,
-                                                 const SchedContext& ctx = {});
-
-/// Convenience overload: wraps `engine` in a default Runtime (jobs of the
-/// same round run concurrently on the engine's scheduler).
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
-                                    Database* db);
-
-/// The context-driven entry points (preferred): dispatch to the plain
-/// runtime, a real cluster shard, or the local sharded harness according
-/// to `ctx`, feed the calibration store when one is given, and otherwise
-/// behave exactly like their Runtime-based namesakes above (which remain
-/// as thin shims for existing callers).
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
-                                    Database* db, const ExecutionContext& ctx);
+/// against the same `base`, as long as nothing mutates `base` meanwhile —
+/// which is what makes the serve-layer plan cache sound (DESIGN.md §8).
 Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
                                               mr::Engine* engine,
                                               const Database& base,
                                               Database* outputs,
-                                              const ExecutionContext& ctx);
+                                              const ExecutionContext& ctx = {});
 
-/// Plans + executes + verifies in one call: evaluates `query` under
-/// `planner`'s strategy on `runtime` and checks every produced relation
-/// against sgf::NaiveEvalSgf. Returns FailedPrecondition on any mismatch.
-Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
-                                         const Planner& planner,
-                                         const mr::Runtime& runtime,
-                                         Database* db);
-
-/// Convenience overload wrapping `engine` in a default Runtime.
-Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
-                                         const Planner& planner,
-                                         mr::Engine* engine, Database* db);
+/// In-place form: ExecutePlanOnSnapshot with `db` as both snapshot and
+/// output sink. On success `db` gains the plan's output relations; on
+/// failure it is left exactly as it was. Intermediates never land in it.
+Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
+                                    Database* db,
+                                    const ExecutionContext& ctx = {});
 
 /// Closes the calibration loop (DESIGN.md §10): matches the observed
 /// per-input (N_i, M_i), per-job output sizes, and combiner/filter yields

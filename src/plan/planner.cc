@@ -93,9 +93,7 @@ struct PlanContext {
   size_t name_counter = 0;
 
   std::string FreshName(const std::string& hint) {
-    std::string name = "__" + hint + "_" + std::to_string(name_counter++);
-    plan.intermediates.push_back(name);
-    return name;
+    return "__" + hint + "_" + std::to_string(name_counter++);
   }
   void Describe(const std::string& line) {
     plan.description += line;
@@ -463,8 +461,8 @@ Result<double> EstimateSortCost(const Batches& batches, PlanContext* ctx) {
 // the per-input provenance tags (JobEstimateRecord). Walks jobs in program
 // order (which is dependency order: AddJob only references earlier ids),
 // registering catalog stats for each job's outputs as it goes, so inputs
-// produced by strategies that don't register intermediates themselves
-// (SEQ chain steps, PAR X_i) still estimate. These records make estimated
+// produced by strategies that don't register stats themselves (SEQ chain
+// steps, PAR X_i) still estimate. These records make estimated
 // totals comparable across strategies (ChoosePlan) and give the
 // calibration feedback loop its "estimated" side (DESIGN.md §10).
 Status EstimatePlanJobs(PlanContext* ctx) {

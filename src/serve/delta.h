@@ -45,7 +45,7 @@ struct DeltaPlan {
   DeltaFallback fallback = DeltaFallback::kNone;
   /// For each insert-moved base relation, a materialized copy of exactly
   /// its delta rows [watermark, size) under the same name — the shadow
-  /// overlay a cached plan re-runs over (plan::ExecutePlanWithOverrides).
+  /// overlay a cached plan re-runs over (plan::ExecutionContext::overrides).
   Database overrides;
   /// Names carrying delta (not full) contents in the re-run: the moved
   /// base relations plus, transitively, every output produced from a

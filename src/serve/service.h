@@ -62,7 +62,6 @@
 #include "cost/constants.h"
 #include "dist/cluster.h"
 #include "mr/engine.h"
-#include "mr/runtime.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
 #include "serve/metrics.h"
@@ -102,11 +101,11 @@ struct ServiceOptions {
   size_t result_cache_capacity = 32;
   plan::PlannerOptions planner;
   cost::ClusterConfig cluster;
-  mr::RuntimeOptions runtime;
   /// Optional calibration feedback loop (DESIGN.md §10): when set, every
-  /// successful execution's observed stats are fed back through
-  /// plan::CalibrateFromExecution, and the planner estimates through the
-  /// store (it is installed as planner.calibration if that is unset).
+  /// successful full execution's observed stats are fed back through
+  /// plan::ExecutionContext::calibration, and the planner estimates
+  /// through the store (it is installed as planner.calibration if that is
+  /// unset).
   /// Non-owning; must outlive the service. The store is thread-safe, so
   /// concurrent workers may feed it simultaneously.
   cost::CalibrationStore* calibration = nullptr;
@@ -174,10 +173,6 @@ struct QueryOptions {
   }
 };
 
-/// The per-query metrics a Response carries: the paper's §5.1 figures
-/// plus the serving fields (plan_cache_hit, queue_ms, plan_ms, ...).
-using QueryMetrics = plan::Metrics;
-
 /// The typed outcome of one query — status, outputs, and metrics travel
 /// together, so callers never fish through futures plus side-channel
 /// stats accessors.
@@ -187,17 +182,14 @@ struct Response {
   /// The query's output relations (subquery output names), moved out of
   /// the per-query overlay. Base relations are not included.
   Database outputs;
-  QueryMetrics metrics;
+  /// The paper's §5.1 figures plus the serving fields (plan_cache_hit,
+  /// queue_ms, plan_ms, ...).
+  plan::Metrics metrics;
   /// Per-job statistics of the execution (empty on failure).
   mr::ProgramStats stats;
   /// End-to-end submit -> response wall time.
   double wall_ms = 0.0;
 };
-
-/// Deprecated pre-§13 name for Response; kept as a shim (pinned by
-/// tests/serve_test.cc) so existing callers keep compiling. New code
-/// should spell serve::Response.
-using QueryResponse = Response;
 
 class QueryService {
  public:
@@ -248,7 +240,7 @@ class QueryService {
  private:
   struct Task {
     sgf::SgfQuery query;
-    std::promise<QueryResponse> promise;
+    std::promise<Response> promise;
     std::chrono::steady_clock::time_point submitted;
     /// Admitted through the fast lane -> morsels run at kHigh priority.
     bool fast = false;
@@ -288,7 +280,7 @@ class QueryService {
   bool TryResultCache(const Task& task, const std::string& key,
                       const std::vector<std::string>& names,
                       const std::vector<uint64_t>& epochs,
-                      QueryResponse* resp);
+                      Response* resp);
 
   const Database* db_;
   /// Non-null iff constructed over a mutable database; target of AddFact.
@@ -299,7 +291,6 @@ class QueryService {
   FaultInjector env_faults_;
   const FaultInjector* faults_;
   mr::Engine engine_;
-  mr::Runtime runtime_;
   plan::Planner planner_;
   PlanCache cache_;
   ResultCache results_;

@@ -224,12 +224,11 @@ Result<plan::ExecutionResult> RunOnSnapshot(
   SchedOptions sched_options = SchedOptions::FromEnv();
   if (max_retries != 0) sched_options.max_task_retries = max_retries;
   mr::Engine engine(cluster, scheduler, sched_options);
-  mr::Runtime runtime(&engine);
-  SchedContext ctx;
-  ctx.scheduler = scheduler;
-  ctx.cancel = cancel;
-  ctx.faults = faults;
-  return plan::ExecutePlanOnSnapshot(plan, runtime, db, outputs, ctx);
+  plan::ExecutionContext ctx;
+  ctx.sched.scheduler = scheduler;
+  ctx.sched.cancel = cancel;
+  ctx.sched.faults = faults;
+  return plan::ExecutePlanOnSnapshot(plan, &engine, db, outputs, ctx);
 }
 
 TEST(ExecutionCancelTest, PastDeadlineRunsZeroMorsels) {
@@ -262,14 +261,51 @@ TEST(ExecutionCancelTest, CancelledRunCommitsNothingToTheDatabase) {
   mr::Engine engine(cluster, &scheduler);
   CancelToken cancelled;
   cancelled.Cancel("caller gave up");
-  SchedContext ctx;
-  ctx.scheduler = &scheduler;
-  ctx.cancel = &cancelled;
-  auto result = plan::ExecutePlan(*plan, mr::Runtime(&engine), &db, ctx);
+  plan::ExecutionContext ctx;
+  ctx.sched.scheduler = &scheduler;
+  ctx.sched.cancel = &cancelled;
+  auto result = plan::ExecutePlan(*plan, &engine, &db, ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(db.size(), base_relations);
   EXPECT_FALSE(db.Contains("Z"));
+}
+
+TEST(ExecutionCancelTest, FailedLaterRoundCommitsNothingToTheDatabase) {
+  // A plan that fails in round 2 (here: a missing input, as in
+  // RuntimeTest.FailingJobSurfacesItsStatus; a cancel, deadline, or
+  // exhausted retry budget fails the same way) must not leave round 1's
+  // intermediates in the caller's database.
+  Database db = MakeTestDb(400);
+  const sgf::SgfQuery query = ParseSgfOrDie(kQueryA1);
+  cost::ClusterConfig cluster;
+  plan::PlannerOptions opts;
+  opts.strategy = plan::Strategy::kGreedy;
+  plan::Planner planner(cluster, opts);
+  auto plan = planner.Plan(query, db);
+  ASSERT_OK(plan);
+  ASSERT_EQ(mr::Runtime::JobRounds(plan->program).size(), 2u);
+  plan::QueryPlan broken = *plan;
+  broken.program = mr::Program();
+  const size_t last = plan->program.size() - 1;
+  for (size_t j = 0; j <= last; ++j) {
+    mr::JobSpec spec = plan->program.job(j);
+    if (j == last) spec.inputs[0].dataset = "Missing";
+    broken.program.AddJob(std::move(spec), plan->program.deps(j));
+  }
+
+  const Database before = db;
+  const uint64_t epoch_before = db.stats_epoch();
+  mr::Engine engine(cluster);
+  auto result = plan::ExecutePlan(broken, &engine, &db);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.stats_epoch(), epoch_before);
+  ASSERT_EQ(db.size(), before.size());
+  for (const auto& [name, rel] : before.relations()) {
+    ASSERT_TRUE(db.Contains(name)) << name;
+    EXPECT_TRUE(db.Get(name).value()->words() == rel.words()) << name;
+  }
 }
 
 TEST(ExecutionCancelTest, MidFlightCancelNeverCorruptsResults) {
@@ -381,7 +417,7 @@ TEST(ServiceDeadlineTest, ExpiredTokenFailsFastAndDoesNotPoisonTheCache) {
   serve::QueryService service(&db, opts);
 
   // Prime the cache with a clean run.
-  serve::QueryResponse warm = service.Run(query);
+  serve::Response warm = service.Run(query);
   ASSERT_OK(warm.status);
   EXPECT_FALSE(warm.metrics.plan_cache_hit);
 
@@ -390,7 +426,7 @@ TEST(ServiceDeadlineTest, ExpiredTokenFailsFastAndDoesNotPoisonTheCache) {
   CancelToken expired(0.0);
   serve::QueryOptions qo;
   qo.cancel = &expired;
-  serve::QueryResponse dead = service.Run(query, qo);
+  serve::Response dead = service.Run(query, qo);
   EXPECT_EQ(dead.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(dead.outputs.size(), 0u);
 
@@ -399,13 +435,13 @@ TEST(ServiceDeadlineTest, ExpiredTokenFailsFastAndDoesNotPoisonTheCache) {
   cancelled.Cancel("never mind");
   serve::QueryOptions qc;
   qc.cancel = &cancelled;
-  serve::QueryResponse gone = service.Run(query, qc);
+  serve::Response gone = service.Run(query, qc);
   EXPECT_EQ(gone.status.code(), StatusCode::kCancelled);
 
   // The cached plan AND cached result survived both: the next clean run
   // is a pure result-cache hit (DESIGN.md §12 — it short-circuits ahead
   // of the plan path) with bytes identical to the first.
-  serve::QueryResponse again = service.Run(query);
+  serve::Response again = service.Run(query);
   ASSERT_OK(again.status);
   EXPECT_TRUE(again.metrics.result_cache_hit);
   const Relation* a = warm.outputs.Get("Z").value();
@@ -429,7 +465,7 @@ TEST(ServiceDeadlineTest, DefaultDeadlineComposesToTheStricter) {
   // A generous per-query deadline cannot loosen the service default.
   serve::QueryOptions qo;
   qo.deadline_ms = 1e9;
-  serve::QueryResponse resp = service.Run(ParseSgfOrDie(kQuerySmall), qo);
+  serve::Response resp = service.Run(ParseSgfOrDie(kQuerySmall), qo);
   EXPECT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(service.Stats().deadline_exceeded, 1u);
 }
@@ -445,13 +481,13 @@ TEST(ServiceShedTest, SaturationShedsLowPriorityNotTheBacklog) {
   // Three slow queries: the worker planning the first holds the other
   // two in the backlog for tens of ms.
   const sgf::SgfQuery blocker = SlowBlocker();
-  std::vector<std::future<serve::QueryResponse>> normals;
+  std::vector<std::future<serve::Response>> normals;
   for (int i = 0; i < 3; ++i) normals.push_back(service.Submit(blocker));
 
   // A kLow submission under saturation is shed synchronously...
   serve::QueryOptions low;
   low.priority = SchedPriority::kLow;
-  serve::QueryResponse shed = service.Run(ParseSgfOrDie(kQuerySmall), low);
+  serve::Response shed = service.Run(ParseSgfOrDie(kQuerySmall), low);
   EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
 
   // ...while the queued kNormal work all completes.
@@ -459,7 +495,7 @@ TEST(ServiceShedTest, SaturationShedsLowPriorityNotTheBacklog) {
   EXPECT_EQ(service.Stats().shed, 1u);
 
   // Off saturation the same kLow query is admitted and runs.
-  serve::QueryResponse idle = service.Run(ParseSgfOrDie(kQuerySmall), low);
+  serve::Response idle = service.Run(ParseSgfOrDie(kQuerySmall), low);
   EXPECT_OK(idle.status);
   EXPECT_EQ(service.Stats().shed, 1u);
 }
@@ -483,8 +519,8 @@ TEST(ServiceEdfTest, EarlierDeadlineJumpsTheQueue) {
   auto b = service.Submit(ParseSgfOrDie(kQuerySmall), tight);
 
   ASSERT_OK(blocker.get().status);
-  serve::QueryResponse ra = a.get();
-  serve::QueryResponse rb = b.get();
+  serve::Response ra = a.get();
+  serve::Response rb = b.get();
   ASSERT_OK(ra.status);
   ASSERT_OK(rb.status);
   EXPECT_LT(rb.metrics.queue_ms, ra.metrics.queue_ms);
@@ -506,7 +542,7 @@ TEST(ServiceCancelTest, CancelledQueuedQueryDropsPromptly) {
 
   // The cancelled query is answered without executing (it was still
   // queued behind the blocker when the token latched).
-  serve::QueryResponse resp = queued.get();
+  serve::Response resp = queued.get();
   EXPECT_EQ(resp.status.code(), StatusCode::kCancelled);
   EXPECT_EQ(resp.outputs.size(), 0u);
   ASSERT_OK(blocker.get().status);
@@ -529,12 +565,12 @@ TEST(ServiceSingleFlightTest, LeaderPlannerErrorReachesEveryFollower) {
   serve::QueryService service(&db, opts);
 
   constexpr int kN = 8;
-  std::vector<std::future<serve::QueryResponse>> futures;
+  std::vector<std::future<serve::Response>> futures;
   for (int i = 0; i < kN; ++i) futures.push_back(service.Submit(bad));
   // Every coalesced follower observes the leader's planner error — the
   // futures all resolve (no hang) with the same error status.
   for (auto& f : futures) {
-    const serve::QueryResponse resp = f.get();
+    const serve::Response resp = f.get();
     ASSERT_FALSE(resp.ok());
     EXPECT_NE(resp.status.code(), StatusCode::kInternal);
   }
@@ -550,7 +586,7 @@ TEST(ServiceSingleFlightTest, DestructionDrainsPendingPlannerErrors) {
   Database db = MakeTestDb(100);
   const sgf::SgfQuery bad = ParseSgfOrDie(
       "Z := SELECT (x, y, z, w) FROM Rmissing(x, y, z, w) WHERE S(x);");
-  std::vector<std::future<serve::QueryResponse>> futures;
+  std::vector<std::future<serve::Response>> futures;
   {
     serve::ServiceOptions opts;
     opts.max_inflight = 2;
@@ -574,7 +610,7 @@ TEST(ServiceChaosTest, InjectedFaultsAreRetriedInvisiblyOrFailTyped) {
   serve::ServiceOptions clean_opts;
   clean_opts.max_inflight = 2;
   serve::QueryService clean(&db, clean_opts);
-  serve::QueryResponse ref = clean.Run(query);
+  serve::Response ref = clean.Run(query);
   ASSERT_OK(ref.status);
   const Relation* ref_z = ref.outputs.Get("Z").value();
 
@@ -589,7 +625,7 @@ TEST(ServiceChaosTest, InjectedFaultsAreRetriedInvisiblyOrFailTyped) {
   serve::QueryService service(&db, opts);
   size_t ok = 0;
   for (int i = 0; i < 10; ++i) {
-    serve::QueryResponse resp = service.Run(query);
+    serve::Response resp = service.Run(query);
     if (resp.ok()) {
       ++ok;
       const Relation* got = resp.outputs.Get("Z").value();

@@ -82,7 +82,9 @@ TEST(ZipfDistributionTest, MassSumsToOneAndDecays) {
   double sum = 0.0;
   for (uint64_t r = 0; r < z.n(); ++r) {
     sum += z.Mass(r);
-    if (r > 0) EXPECT_LE(z.Mass(r), z.Mass(r - 1));
+    if (r > 0) {
+      EXPECT_LE(z.Mass(r), z.Mass(r - 1));
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
   // theta = 0 degenerates to uniform.
@@ -155,10 +157,14 @@ TEST(GeneratorTest, HotAndColdConditionalsPickRankSlices) {
   Relation hot = gen.HotConditional("S", 1);
   Relation cold = gen.ColdConditional("T", 1);
   for (RowView t : hot.views()) {
-    if (t[0].AsInt() < domain) EXPECT_LT(t[0].AsInt(), cut);
+    if (t[0].AsInt() < domain) {
+      EXPECT_LT(t[0].AsInt(), cut);
+    }
   }
   for (RowView t : cold.views()) {
-    if (t[0].AsInt() < domain) EXPECT_GE(t[0].AsInt(), domain - cut);
+    if (t[0].AsInt() < domain) {
+      EXPECT_GE(t[0].AsInt(), domain - cut);
+    }
   }
   // Against a Zipf guard the hot slice matches far MORE than the nominal
   // selectivity and the cold slice far LESS — the regimes the calibrated

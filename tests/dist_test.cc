@@ -13,7 +13,6 @@
 #include <map>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/cancel.h"
@@ -440,6 +439,57 @@ TEST(ShardedTest, ExplicitClusterMatchesLocalHarness) {
   }
 }
 
+// ExecutionContext::overrides composes with sharding: shadowing a relation
+// through the overlay must produce, at every shard count, exactly the
+// bytes of a run over a database where that relation was replaced.
+TEST(ShardedTest, OverridesMatchReplacedRelationsAtAnyShardCount) {
+  auto w = SmallWorkload("A3");
+  ASSERT_OK(w);
+  const cost::ClusterConfig config = TestCluster();
+  plan::Planner planner(config, plan::PlannerOptions{});
+  auto plan = planner.Plan(w->query, w->db);
+  ASSERT_OK(plan);
+  mr::Engine engine(config);
+
+  // Every other guard row: a strict, non-empty subset.
+  const std::string guard = w->query.subqueries()[0].guard().relation();
+  const Relation* full = w->db.Get(guard).value();
+  Relation half(guard, full->arity());
+  const std::vector<Tuple> rows = full->ToTuples();
+  for (size_t i = 0; i < rows.size(); i += 2) ASSERT_OK(half.Add(rows[i]));
+  Database overrides;
+  overrides.Put(half);
+  Database replaced = w->db;
+  replaced.Put(half);
+
+  auto run = [&](const Database& base, const Database* ov, int shards) {
+    plan::ExecutionContext ectx;
+    ectx.overrides = ov;
+    ectx.local_shards = shards;
+    Database outputs;
+    OutputBytes out;
+    auto result =
+        plan::ExecutePlanOnSnapshot(*plan, &engine, base, &outputs, ectx);
+    EXPECT_OK(result);
+    if (!result.ok()) return out;
+    for (const std::string& name : plan->outputs) {
+      const Relation* rel = outputs.Get(name).value();
+      out[name] = {rel->words(), rel->fingerprints()};
+    }
+    return out;
+  };
+  const OutputBytes reference = run(replaced, nullptr, 1);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_NE(reference, run(w->db, nullptr, 1));  // the override matters
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    EXPECT_EQ(run(w->db, &overrides, shards), reference);
+  }
+  // The base and the overrides are only ever read.
+  EXPECT_EQ(w->db.Get(guard).value()->size(), rows.size());
+  EXPECT_EQ(overrides.Get(guard).value()->size(), half.size());
+}
+
 // ---- Multi-process: the worker binary over an mmap mailbox ------------------
 
 std::string WorkerBin() {
@@ -538,12 +588,7 @@ TEST(DistConfigTest, KnobsFlowThroughScopedOverrideIntoServiceOptions) {
   EXPECT_EQ(service.options().dist.dir, "/tmp/gumbo-mailbox");
 }
 
-TEST(ServeApiTest, QueryOptionsBuilderAndResponseShim) {
-  // The deprecation shims are part of the API contract.
-  static_assert(std::is_same_v<serve::QueryResponse, serve::Response>,
-                "QueryResponse must alias Response");
-  static_assert(std::is_same_v<serve::QueryMetrics, plan::Metrics>,
-                "QueryMetrics must alias plan::Metrics");
+TEST(ServeApiTest, QueryOptionsBuilder) {
   CancelToken token;
   const serve::QueryOptions q = serve::QueryOptions()
                                     .WithDeadlineMs(123.0)

@@ -19,6 +19,7 @@ namespace gumbo {
 namespace {
 
 using plan::Strategy;
+using ::gumbo::testing::ExecuteAndVerify;
 
 cost::ClusterConfig FuzzCluster(Xoshiro256* rng) {
   cost::ClusterConfig c;
@@ -253,7 +254,7 @@ TEST_P(StrategyFuzzTest, AllStrategiesAgreeWithNaive) {
         plan::Planner planner(config, opts);
         mr::Engine engine(config);
         Database db = fc.db;
-        auto result = plan::ExecuteAndVerify(fc.query, planner, &engine, &db);
+        auto result = ExecuteAndVerify(fc.query, planner, &engine, &db);
         ASSERT_OK(result) << "seed=" << GetParam() << " strategy="
                           << StrategyName(s) << " ids=" << ids
                           << " pack=" << pack << "\n"

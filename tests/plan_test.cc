@@ -20,6 +20,7 @@
 namespace gumbo::plan {
 namespace {
 
+using ::gumbo::testing::ExecuteAndVerify;
 using ::gumbo::testing::MakeRelation;
 using ::gumbo::testing::ParseSgfOrDie;
 
@@ -529,9 +530,8 @@ TEST(CalibrationPlanTest, CalibrateFromExecutionFillsTheStore) {
   auto plan = planner.Plan(query, db);
   ASSERT_OK(plan);
   mr::Engine engine(TestCluster());
-  mr::Runtime runtime(&engine);
   Database out;
-  auto run = ExecutePlanOnSnapshot(*plan, runtime, db, &out);
+  auto run = ExecutePlanOnSnapshot(*plan, &engine, db, &out);
   ASSERT_OK(run);
   cost::CalibrationStore store;
   CalibrateFromExecution(*plan, run->stats, &store);
@@ -552,11 +552,10 @@ TEST(CalibrationPlanTest, SavedStoreReloadsToIdenticalPlans) {
     auto plan = planner.Plan(query, db);
     ASSERT_OK(plan);
     mr::Engine engine(TestCluster());
-    mr::Runtime runtime(&engine);
+    ExecutionContext ctx;
+    ctx.calibration = &store;
     Database out;
-    auto run = ExecutePlanOnSnapshot(*plan, runtime, db, &out);
-    ASSERT_OK(run);
-    CalibrateFromExecution(*plan, run->stats, &store);
+    ASSERT_OK(ExecutePlanOnSnapshot(*plan, &engine, db, &out, ctx));
   }
   ASSERT_GT(store.TotalObservations(), 0u);
 

@@ -404,11 +404,11 @@ TEST_P(OptimizationEquivalenceTest, ByteIdenticalResultsAndNoExtraShuffle) {
       opts.op.bloom_filters = optimized;
       plan::Planner planner(config, opts);
       mr::Engine engine(config);
-      mr::Runtime runtime(&engine);
       Database run_db = db;
       // ExecuteAndVerify additionally checks against the naive reference
       // evaluator, so each configuration is independently correct.
-      auto result = plan::ExecuteAndVerify(*query, planner, runtime, &run_db);
+      auto result =
+          testing::ExecuteAndVerify(*query, planner, &engine, &run_db);
       EXPECT_TRUE(result.ok())
           << text << "\noptimized=" << optimized << ": " << result.status();
       OptRun out;

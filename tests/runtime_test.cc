@@ -18,6 +18,7 @@
 namespace gumbo::mr {
 namespace {
 
+using ::gumbo::testing::ExecuteAndVerify;
 using ::gumbo::testing::MakeRelation;
 
 cost::ClusterConfig TestCluster() {
@@ -145,27 +146,6 @@ TEST(RuntimeTest, IndependentJobsOfARoundRunConcurrently) {
   EXPECT_EQ(db.Get("OutB").value()->size(), 3u);
 }
 
-TEST(RuntimeTest, SequentialOptionStillCorrect) {
-  Database db;
-  db.Put(MakeRelation("In", 1, {{1}, {2}, {3}}));
-  std::atomic<int> started{0};
-  Program program;
-  // expected=1: the gate opens immediately; jobs run one-by-one.
-  program.AddJob(GateJob("In", "OutA", &started, 1));
-  program.AddJob(GateJob("In", "OutB", &started, 1));
-
-  Scheduler scheduler(4);
-  Engine engine(cost::ClusterConfig{}, &scheduler);
-  RuntimeOptions options;
-  options.concurrent_jobs = false;
-  Runtime runtime(&engine, options);
-  auto stats = runtime.Execute(program, &db);
-  ASSERT_OK(stats);
-  EXPECT_EQ(stats->round_stats[0].max_concurrent, 1);
-  EXPECT_EQ(db.Get("OutA").value()->size(), 3u);
-  EXPECT_EQ(db.Get("OutB").value()->size(), 3u);
-}
-
 TEST(RuntimeTest, FailingJobSurfacesItsStatus) {
   Database db;
   db.Put(MakeRelation("In", 1, {{1}}));
@@ -192,7 +172,7 @@ TEST(RuntimeTest, ParPlanHasMultiJobFirstRound) {
   plan::Planner planner(config, opts);
   Engine engine(config);
   Database db = w->db;
-  auto result = plan::ExecuteAndVerify(w->query, planner, &engine, &db);
+  auto result = ExecuteAndVerify(w->query, planner, &engine, &db);
   ASSERT_OK(result);
   // A1 under PAR: 4 independent MSJ jobs in round 1, one EVAL in round 2.
   EXPECT_EQ(result->metrics.rounds, 2);
@@ -216,8 +196,7 @@ struct RunOutput {
 };
 
 RunOutput RunWithThreads(const data::Workload& w, plan::Strategy strategy,
-                         size_t threads, bool concurrent_jobs = true,
-                         ops::OpOptions op = ops::OpOptions{},
+                         size_t threads, ops::OpOptions op = ops::OpOptions{},
                          size_t morsel_rows = 0) {
   plan::PlannerOptions opts;
   opts.strategy = strategy;
@@ -229,13 +208,10 @@ RunOutput RunWithThreads(const data::Workload& w, plan::Strategy strategy,
   SchedOptions sched_options = SchedOptions::FromEnv();
   if (morsel_rows != 0) sched_options.morsel_rows = morsel_rows;
   Engine engine(config, &scheduler, sched_options);
-  RuntimeOptions roptions;
-  roptions.concurrent_jobs = concurrent_jobs;
-  Runtime runtime(&engine, roptions);
   Database db = w.db;
   auto plan = planner.Plan(w.query, db);
   EXPECT_TRUE(plan.ok()) << plan.status();
-  auto result = plan::ExecutePlan(*plan, runtime, &db);
+  auto result = plan::ExecutePlan(*plan, &engine, &db);
   EXPECT_TRUE(result.ok()) << result.status();
   RunOutput out;
   out.metrics = result->metrics;
@@ -278,10 +254,8 @@ TEST(RuntimeTest, ByteIdenticalAcrossPoolSizesForAllShuffleModes) {
       ops::OpOptions op;
       op.pack_messages = pack;
       op.combiners = combine;
-      RunOutput one = RunWithThreads(*w, plan::Strategy::kGreedy, 1,
-                                     /*concurrent_jobs=*/true, op);
-      RunOutput eight = RunWithThreads(*w, plan::Strategy::kGreedy, 8,
-                                       /*concurrent_jobs=*/true, op);
+      RunOutput one = RunWithThreads(*w, plan::Strategy::kGreedy, 1, op);
+      RunOutput eight = RunWithThreads(*w, plan::Strategy::kGreedy, 8, op);
       EXPECT_EQ(one.outputs, eight.outputs)
           << "pack=" << pack << " combine=" << combine;
       EXPECT_EQ(one.metrics.communication_mb, eight.metrics.communication_mb)
@@ -308,9 +282,8 @@ TEST(RuntimeTest, ByteIdenticalWithTinyMorselsAcrossWorkerCounts) {
     ASSERT_OK(w);
     RunOutput reference = RunWithThreads(*w, strategy, 1);
     for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
-      RunOutput tiny =
-          RunWithThreads(*w, strategy, workers, /*concurrent_jobs=*/true,
-                         ops::OpOptions{}, /*morsel_rows=*/1);
+      RunOutput tiny = RunWithThreads(*w, strategy, workers, ops::OpOptions{},
+                                      /*morsel_rows=*/1);
       EXPECT_EQ(reference.outputs, tiny.outputs) << "workers=" << workers;
       EXPECT_EQ(reference.metrics.communication_mb,
                 tiny.metrics.communication_mb)
@@ -334,11 +307,9 @@ TEST(RuntimeTest, ByteIdenticalWithTinyMorselsForAllShuffleModes) {
       ops::OpOptions op;
       op.pack_messages = pack;
       op.combiners = combine;
-      RunOutput coarse = RunWithThreads(*w, plan::Strategy::kGreedy, 1,
-                                        /*concurrent_jobs=*/true, op);
-      RunOutput tiny =
-          RunWithThreads(*w, plan::Strategy::kGreedy, 8,
-                         /*concurrent_jobs=*/true, op, /*morsel_rows=*/1);
+      RunOutput coarse = RunWithThreads(*w, plan::Strategy::kGreedy, 1, op);
+      RunOutput tiny = RunWithThreads(*w, plan::Strategy::kGreedy, 8, op,
+                                      /*morsel_rows=*/1);
       EXPECT_EQ(coarse.outputs, tiny.outputs)
           << "pack=" << pack << " combine=" << combine;
       EXPECT_EQ(coarse.metrics.communication_mb, tiny.metrics.communication_mb)
@@ -366,11 +337,10 @@ TEST(RuntimeTest, ShuffleBytesHaveOneSourceOfTruth) {
   cost::ClusterConfig config = TestCluster();
   plan::Planner planner(config, opts);
   Engine engine(config);
-  Runtime runtime(&engine);
   Database db = w->db;
   auto plan = planner.Plan(w->query, db);
   ASSERT_OK(plan);
-  auto result = plan::ExecutePlan(*plan, runtime, &db);
+  auto result = plan::ExecutePlan(*plan, &engine, &db);
   ASSERT_OK(result);
   const ProgramStats& stats = result->stats;
   ASSERT_FALSE(stats.round_stats.empty());
@@ -389,19 +359,6 @@ TEST(RuntimeTest, ShuffleBytesHaveOneSourceOfTruth) {
   EXPECT_DOUBLE_EQ(result->metrics.communication_mb,
                    stats.ShuffleMb() + stats.FilterBroadcastMb());
   EXPECT_GT(stats.ShuffleMessages(), 0u);
-}
-
-TEST(RuntimeTest, ConcurrentMatchesSequentialRuntime) {
-  auto w = data::MakeC(1, SmallData());  // nested query: several rounds
-  ASSERT_OK(w);
-  RunOutput concurrent = RunWithThreads(*w, plan::Strategy::kGreedySgf, 8,
-                                        /*concurrent_jobs=*/true);
-  RunOutput sequential = RunWithThreads(*w, plan::Strategy::kGreedySgf, 8,
-                                        /*concurrent_jobs=*/false);
-  EXPECT_EQ(concurrent.outputs, sequential.outputs);
-  EXPECT_EQ(concurrent.metrics.communication_mb,
-            sequential.metrics.communication_mb);
-  EXPECT_EQ(concurrent.metrics.net_time, sequential.metrics.net_time);
 }
 
 }  // namespace

@@ -10,6 +10,10 @@
 
 #include "common/relation.h"
 #include "common/result.h"
+#include "mr/engine.h"
+#include "plan/executor.h"
+#include "plan/planner.h"
+#include "sgf/naive_eval.h"
 #include "sgf/parser.h"
 
 namespace gumbo::testing {
@@ -51,6 +55,34 @@ inline std::vector<std::vector<int64_t>> RowsOf(const Relation& rel) {
     out.push_back(std::move(row));
   }
   return out;
+}
+
+/// Plans + executes + verifies in one call: evaluates `query` under
+/// `planner`'s strategy against `db` and checks every produced relation
+/// against sgf::NaiveEvalSgf. Returns FailedPrecondition on any mismatch.
+inline Result<plan::ExecutionResult> ExecuteAndVerify(
+    const sgf::SgfQuery& query, const plan::Planner& planner,
+    mr::Engine* engine, Database* db) {
+  // Reference run first, on the pristine database.
+  GUMBO_ASSIGN_OR_RETURN(Database expected, sgf::NaiveEvalSgf(query, *db));
+
+  GUMBO_ASSIGN_OR_RETURN(plan::QueryPlan plan, planner.Plan(query, *db));
+  GUMBO_ASSIGN_OR_RETURN(plan::ExecutionResult result,
+                         plan::ExecutePlan(plan, engine, db));
+
+  for (const auto& q : query.subqueries()) {
+    GUMBO_ASSIGN_OR_RETURN(const Relation* got, db->Get(q.output()));
+    GUMBO_ASSIGN_OR_RETURN(const Relation* want, expected.Get(q.output()));
+    if (!got->SetEquals(*want)) {
+      return Status::FailedPrecondition(
+          "strategy " +
+          std::string(plan::StrategyName(planner.options().strategy)) +
+          " produced wrong result for " + q.output() + ": got " +
+          std::to_string(got->size()) + " tuples, reference has " +
+          std::to_string(want->size()));
+    }
+  }
+  return result;
 }
 
 inline ::testing::AssertionResult IsOk(const Status& s) {
