@@ -44,7 +44,10 @@ struct LojSpec {
 
 struct CompiledLoj {
   LojSpec spec;
-  std::vector<std::string> key_vars;  // shared join key of all atoms
+  // The shared join key of all atoms, resolved on the guard and on each
+  // atom (atom_keys[a] for spec.atoms[a]).
+  sgf::Projection guard_key;
+  std::vector<sgf::Projection> atom_keys;
 };
 
 class LojMapper : public mr::Mapper {
@@ -60,15 +63,15 @@ class LojMapper : public mr::Mapper {
       TupleView prefix(fact.words(), s.guard.arity());
       if (s.filter_guard_pattern && !s.guard.Conforms(prefix)) return;
       // Payload: the full (possibly already-flagged) row.
-      emitter->Emit(s.guard.Project(prefix, c_->key_vars), kTagRequest, 0,
-                    fact, ops::kTagBytes + mr::TupleWireBytes(fact));
+      emitter->Emit(c_->guard_key.Apply(prefix), kTagRequest, 0, fact,
+                    ops::kTagBytes + mr::TupleWireBytes(fact));
     } else {
-      const auto& [atom, ds] = s.atoms[input_index - 1];
-      if (!atom.Conforms(fact)) return;
+      const size_t a = input_index - 1;
+      if (!s.atoms[a].first.Conforms(fact)) return;
       // Hive/Pig ship the conditional tuple itself (wire size), though
       // only the match flag matters at the reducer.
-      emitter->Emit(atom.Project(fact, c_->key_vars), kTagAssert,
-                    static_cast<uint32_t>(input_index - 1),
+      emitter->Emit(c_->atom_keys[a].Apply(fact), kTagAssert,
+                    static_cast<uint32_t>(a),
                     ops::kTagBytes + mr::TupleWireBytes(fact));
     }
   }
@@ -110,12 +113,16 @@ Result<mr::JobSpec> BuildLojJob(const LojSpec& in, const std::string& name) {
   if (in.atoms.empty()) {
     return Status::InvalidArgument("LOJ job without atoms");
   }
-  compiled->key_vars = in.atoms[0].first.SharedVariables(in.guard);
+  const std::vector<std::string> key_vars =
+      in.atoms[0].first.SharedVariables(in.guard);
+  GUMBO_ASSIGN_OR_RETURN(compiled->guard_key, in.guard.ProjectionOnto(key_vars));
   for (const auto& [atom, ds] : in.atoms) {
-    if (atom.SharedVariables(in.guard) != compiled->key_vars) {
+    if (atom.SharedVariables(in.guard) != key_vars) {
       return Status::InvalidArgument(
           "LOJ job atoms must share one join key");
     }
+    GUMBO_ASSIGN_OR_RETURN(sgf::Projection key, atom.ProjectionOnto(key_vars));
+    compiled->atom_keys.push_back(std::move(key));
   }
   mr::JobSpec spec;
   spec.name = name;
@@ -149,6 +156,7 @@ struct FlaggedSource {
 
 struct CompiledCombine {
   sgf::BsgfQuery query;
+  sgf::Projection select;  // the guard onto the SELECT variables
   std::vector<FlaggedSource> sources;
   double overhead = 1.0;
 };
@@ -199,8 +207,7 @@ class CombineReducer : public mr::Reducer {
                 c_->query.condition()->Evaluate(
                     [&](size_t i) { return truth_[i]; });
     if (!keep) return;
-    emitter->Emit(0,
-                  c_->query.guard().Project(key, c_->query.select_vars()));
+    emitter->Emit(0, c_->select.Apply(key));
   }
 
  private:
@@ -215,6 +222,8 @@ Result<mr::JobSpec> BuildCombineJob(const sgf::BsgfQuery& query,
                                     const std::string& name) {
   auto compiled = std::make_shared<CompiledCombine>();
   compiled->query = query;
+  GUMBO_ASSIGN_OR_RETURN(compiled->select,
+                         query.guard().ProjectionOnto(query.select_vars()));
   compiled->sources = std::move(sources);
   compiled->overhead = overhead;
   mr::JobSpec spec;
@@ -245,7 +254,8 @@ Result<mr::JobSpec> BuildCombineJob(const sgf::BsgfQuery& query,
 struct CompiledSemiFull {
   sgf::Atom guard;
   sgf::Atom conditional;
-  std::vector<std::string> key_vars;
+  sgf::Projection guard_key;  // join key resolved on each side
+  sgf::Projection cond_key;
   bool filter_guard_pattern = true;
 };
 
@@ -257,12 +267,12 @@ class SemiFullMapper : public mr::Mapper {
            mr::Emitter* emitter) override {
     if (input_index == 0) {
       if (c_->filter_guard_pattern && !c_->guard.Conforms(fact)) return;
-      emitter->Emit(c_->guard.Project(fact, c_->key_vars), kTagRequest, 0,
-                    fact, ops::kTagBytes + mr::TupleWireBytes(fact));
+      emitter->Emit(c_->guard_key.Apply(fact), kTagRequest, 0, fact,
+                    ops::kTagBytes + mr::TupleWireBytes(fact));
     } else {
       if (!c_->conditional.Conforms(fact)) return;
-      emitter->Emit(c_->conditional.Project(fact, c_->key_vars), kTagAssert,
-                    0, ops::kTagBytes + mr::TupleWireBytes(fact));
+      emitter->Emit(c_->cond_key.Apply(fact), kTagAssert, 0,
+                    ops::kTagBytes + mr::TupleWireBytes(fact));
     }
   }
 
@@ -298,7 +308,10 @@ Result<mr::JobSpec> BuildSemiFullJob(const sgf::Atom& guard,
   auto compiled = std::make_shared<CompiledSemiFull>();
   compiled->guard = guard;
   compiled->conditional = conditional;
-  compiled->key_vars = conditional.SharedVariables(guard);
+  const std::vector<std::string> key_vars = conditional.SharedVariables(guard);
+  GUMBO_ASSIGN_OR_RETURN(compiled->guard_key, guard.ProjectionOnto(key_vars));
+  GUMBO_ASSIGN_OR_RETURN(compiled->cond_key,
+                         conditional.ProjectionOnto(key_vars));
   mr::JobSpec spec;
   spec.name = name;
   spec.pack_messages = false;

@@ -13,11 +13,11 @@ namespace {
 
 struct CompiledStep {
   ChainStepSpec spec;
-  std::vector<std::string> key_vars;
-  // Identity projections (DESIGN.md §7): the join key is the fact itself,
-  // so the mapper reuses the stored row fingerprint instead of hashing.
-  bool guard_key_identity = false;
-  bool cond_key_identity = false;
+  // Join key resolved on each side. On an identity projection (DESIGN.md
+  // §7) the mapper reuses the stored row fingerprint instead of hashing.
+  sgf::Projection guard_key;
+  sgf::Projection cond_key;
+  sgf::Projection select;  // SELECT projection; used when emit_projection
   // Bloom pre-filtering (DESIGN.md §5.2). Requests may be dropped on
   // *positive* steps only — an anti-join emits guards *without* matches,
   // so its requests must flow. Asserts at keys no input tuple projects to
@@ -42,7 +42,7 @@ class ChainMapper : public mr::Mapper {
     const ChainStepSpec& s = c_->spec;
     if (input_index == 0) {
       if (s.filter_guard_pattern && !s.guard.Conforms(fact)) return;
-      key_.Select(s.guard, c_->guard_key_identity, c_->key_vars, fact);
+      key_.Select(c_->guard_key, fact);
       if (filters_ != nullptr && c_->request_filter &&
           !filters_->filter(0).MightContain(key_.hash)) {
         ++suppressed_;  // key provably unmatched: the semi-join drops it
@@ -52,7 +52,7 @@ class ChainMapper : public mr::Mapper {
                              RequestWireBytes(mr::TupleWireBytes(fact)));
     } else {
       if (!s.conditional.Conforms(fact)) return;
-      key_.Select(s.conditional, c_->cond_key_identity, c_->key_vars, fact);
+      key_.Select(c_->cond_key, fact);
       if (filters_ != nullptr &&
           !filters_->filter(1).MightContain(key_.hash)) {
         ++suppressed_;  // no input tuple can request this key
@@ -90,7 +90,7 @@ class ChainReducer : public mr::Reducer {
     for (const mr::MessageRef m : values) {
       if (m.tag() != kTagRequest) continue;
       if (s.emit_projection) {
-        emitter->Emit(0, s.guard.Project(m.PayloadView(), s.select_vars));
+        emitter->Emit(0, c_->select.Apply(m.PayloadView()));
       } else {
         emitter->Emit(0, m.PayloadView());  // zero-copy forward
       }
@@ -104,9 +104,7 @@ class ChainReducer : public mr::Reducer {
 // Union/projection: map every chain-output tuple to its projection and
 // emit the key once per group.
 struct CompiledUnion {
-  sgf::Atom guard;
-  std::vector<std::string> select_vars;
-  bool identity = false;  // projection reproduces the fact (DESIGN.md §7)
+  sgf::Projection select;  // the guard onto the SELECT variables
 };
 
 class UnionMapper : public mr::Mapper {
@@ -117,12 +115,13 @@ class UnionMapper : public mr::Mapper {
            mr::Emitter* emitter) override {
     (void)input_index;
     (void)tuple_id;
-    if (c_->identity) {
+    // On an identity projection (DESIGN.md §7) the stored row
+    // fingerprint is the key hash.
+    if (c_->select.identity) {
       emitter->EmitPrehashed(fact, fact.fingerprint(), kTagGuard, 0,
                              kTagBytes);
     } else {
-      emitter->Emit(c_->guard.Project(fact, c_->select_vars), kTagGuard, 0,
-                    kTagBytes);
+      emitter->Emit(c_->select.Apply(fact), kTagGuard, 0, kTagBytes);
     }
   }
 
@@ -150,11 +149,16 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
   }
   auto compiled = std::make_shared<CompiledStep>();
   compiled->spec = step;
-  compiled->key_vars = step.conditional.SharedVariables(step.guard);
-  compiled->guard_key_identity =
-      step.guard.IsIdentityProjection(compiled->key_vars);
-  compiled->cond_key_identity =
-      step.conditional.IsIdentityProjection(compiled->key_vars);
+  const std::vector<std::string> key_vars =
+      step.conditional.SharedVariables(step.guard);
+  GUMBO_ASSIGN_OR_RETURN(compiled->guard_key,
+                         step.guard.ProjectionOnto(key_vars));
+  GUMBO_ASSIGN_OR_RETURN(compiled->cond_key,
+                         step.conditional.ProjectionOnto(key_vars));
+  if (step.emit_projection) {
+    GUMBO_ASSIGN_OR_RETURN(compiled->select,
+                           step.guard.ProjectionOnto(step.select_vars));
+  }
   compiled->request_filter = options.bloom_filters && step.positive;
 
   mr::JobSpec spec;
@@ -194,10 +198,10 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
     // (input 0), used to suppress dead asserts.
     std::vector<std::vector<FilterPass>> passes(2);
     if (compiled->request_filter) {
-      passes[0].emplace_back(1, step.conditional, compiled->key_vars);
+      passes[0].push_back({1, step.conditional, compiled->cond_key});
     }
-    passes[1].emplace_back(0, step.guard, compiled->key_vars,
-                           step.filter_guard_pattern);
+    passes[1].push_back({0, step.guard, compiled->guard_key,
+                         step.filter_guard_pattern});
     spec.filter_builder = FilterBuilder(std::move(passes), options.filter_fpp);
   }
   return spec;
@@ -212,9 +216,7 @@ Result<mr::JobSpec> BuildUnionProjectJob(
     return Status::InvalidArgument("union: no inputs");
   }
   auto compiled = std::make_shared<CompiledUnion>();
-  compiled->guard = guard;
-  compiled->select_vars = select_vars;
-  compiled->identity = guard.IsIdentityProjection(select_vars);
+  GUMBO_ASSIGN_OR_RETURN(compiled->select, guard.ProjectionOnto(select_vars));
 
   mr::JobSpec spec;
   spec.name = job_name;

@@ -14,6 +14,7 @@ namespace {
 struct CompiledEval {
   struct Task {
     sgf::BsgfQuery query;
+    sgf::Projection select;  // the guard onto the SELECT variables
     size_t output_index = 0;
     uint32_t task_id = 0;
   };
@@ -105,16 +106,12 @@ class EvalReducer : public mr::Reducer {
           [&](size_t i) { return truth_[i]; });
     }
     if (!keep) return;
-    const sgf::BsgfQuery& q = task.query;
-    Tuple out;
-    if (c_->tuple_id_refs) {
-      out = q.guard().Project(guard_fact, q.select_vars());
-    } else {
-      // Key = (task_id, guard tuple); the suffix view is the fact.
-      out = q.guard().Project(TupleView(key.words() + 1, key.size() - 1),
-                              q.select_vars());
-    }
-    emitter->Emit(task.output_index, out);
+    // In full-tuple mode key = (task_id, guard tuple); the suffix view is
+    // the fact.
+    const TupleView fact = c_->tuple_id_refs
+                               ? guard_fact
+                               : TupleView(key.words() + 1, key.size() - 1);
+    emitter->Emit(task.output_index, task.select.Apply(fact));
   }
 
  private:
@@ -161,6 +158,8 @@ Result<mr::JobSpec> BuildEvalJob(const std::vector<EvalTask>& tasks,
     }
     CompiledEval::Task task;
     task.query = in.query;
+    GUMBO_ASSIGN_OR_RETURN(
+        task.select, in.query.guard().ProjectionOnto(in.query.select_vars()));
     task.task_id = static_cast<uint32_t>(ti);
     task.output_index = ti;
     compiled->tasks.push_back(std::move(task));

@@ -7,14 +7,6 @@
 
 namespace gumbo::ops {
 
-FilterPass::FilterPass(size_t input, sgf::Atom atom,
-                       std::vector<std::string> key_vars, bool check_conforms)
-    : input(input),
-      atom(std::move(atom)),
-      key_vars(std::move(key_vars)),
-      check_conforms(check_conforms),
-      identity(this->atom.IsIdentityProjection(this->key_vars)) {}
-
 std::function<mr::FilterPlan(const std::vector<const Relation*>&)>
 FilterBuilder(std::vector<std::vector<FilterPass>> passes, double fpp) {
   // Shared with every plan's populate closure, which may outlive the
@@ -41,7 +33,7 @@ FilterBuilder(std::vector<std::vector<FilterPass>> passes, double fpp) {
       for (const FilterPass& p : (*shared)[f]) {
         for (RowView fact : rels[p.input]->views()) {
           if (p.check_conforms && !p.atom.Conforms(fact)) continue;
-          filter->Insert(ShuffleKeyHash(p.atom, p.identity, p.key_vars, fact));
+          filter->Insert(ShuffleKeyHash(p.key, fact));
         }
       }
     };

@@ -19,19 +19,13 @@ namespace gumbo::ops {
 
 /// One insert pass of a job filter: every fact of resolved input `input`
 /// that conforms to `atom` (every fact when `check_conforms` is false)
-/// inserts the ShuffleKeyHash of its projection onto `key_vars` — the
-/// figure the operator's mappers probe.
+/// inserts the ShuffleKeyHash of its projection `key` — the figure the
+/// operator's mappers probe.
 struct FilterPass {
-  FilterPass(size_t input, sgf::Atom atom, std::vector<std::string> key_vars,
-             bool check_conforms = true);
-
   size_t input;
   sgf::Atom atom;
-  std::vector<std::string> key_vars;
-  bool check_conforms;
-  /// `atom.IsIdentityProjection(key_vars)`: the stored row fingerprint is
-  /// the key hash.
-  bool identity;
+  sgf::Projection key;
+  bool check_conforms = true;
 };
 
 /// The JobSpec::filter_builder of a job whose filter f is fed by

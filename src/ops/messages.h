@@ -30,18 +30,16 @@ struct ShuffleKey {
   /// Backing storage when the key is a real projection; `key` views it.
   Tuple projected;
 
-  /// Selects the key for `fact`: on an identity projection
-  /// (`Atom::IsIdentityProjection(vars)`, precomputed by the operator
-  /// builders as `identity`) the fact itself with its stored row
-  /// fingerprint — the tuple is never hashed after load (DESIGN.md §7) —
-  /// otherwise the projection, materialized and hashed once.
-  void Select(const sgf::Atom& atom, bool identity,
-              const std::vector<std::string>& vars, RowView fact) {
-    if (identity) {
+  /// Selects the key for `fact` under the builder-resolved projection
+  /// `proj`: on an identity projection the fact itself with its stored
+  /// row fingerprint — the tuple is never hashed after load (DESIGN.md
+  /// §7) — otherwise the projection, materialized and hashed once.
+  void Select(const sgf::Projection& proj, RowView fact) {
+    if (proj.identity) {
       key = fact;
       hash = fact.fingerprint();
     } else {
-      projected = atom.Project(fact, vars);
+      projected = proj.Apply(fact);
       key = projected;
       hash = key.Fingerprint();
     }
@@ -49,11 +47,9 @@ struct ShuffleKey {
 };
 
 /// Hash-only variant for Bloom-filter build scans: the figure a probe of
-/// the same (atom, vars, fact) via ShuffleKey::Select would use.
-inline uint64_t ShuffleKeyHash(const sgf::Atom& atom, bool identity,
-                               const std::vector<std::string>& vars,
-                               RowView fact) {
-  return identity ? fact.fingerprint() : atom.Project(fact, vars).Hash();
+/// the same (proj, fact) via ShuffleKey::Select would use.
+inline uint64_t ShuffleKeyHash(const sgf::Projection& proj, RowView fact) {
+  return proj.identity ? fact.fingerprint() : proj.Apply(fact).Hash();
 }
 
 /// Message tags used by MSJ / EVAL / 1-ROUND / chain jobs.

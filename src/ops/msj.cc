@@ -19,15 +19,14 @@ struct CompiledMsj {
   struct Equation {
     sgf::Atom guard;
     sgf::Atom conditional;
-    std::vector<std::string> key_vars;  // join key, kappa-order
-    uint32_t cond_id = 0;               // canonical condition id
-    size_t output_index = 0;            // into JobSpec::outputs
-    double payload_bytes = 0.0;         // request payload wire size
-    // Identity projections (DESIGN.md §7): when the join key IS the fact,
-    // the mapper reuses the relation's stored row fingerprint instead of
-    // hashing the projection — tuples hash once at load, never again.
-    bool guard_key_identity = false;
-    bool cond_key_identity = false;
+    // Join key (kappa-order) resolved on each side. On an identity
+    // projection (DESIGN.md §7) the mapper reuses the relation's stored
+    // row fingerprint — tuples hash once at load, never again.
+    sgf::Projection guard_key;
+    sgf::Projection cond_key;
+    uint32_t cond_id = 0;        // canonical condition id
+    size_t output_index = 0;     // into JobSpec::outputs
+    double payload_bytes = 0.0;  // request payload wire size
   };
   std::vector<Equation> equations;
   // Routing: per input dataset index, which equations read it as guard /
@@ -58,7 +57,7 @@ class MsjMapper : public mr::Mapper {
     for (size_t ei : c_->guard_eqs_of_input[input_index]) {
       const auto& eq = c_->equations[ei];
       if (!eq.guard.Conforms(fact)) continue;
-      key_.Select(eq.guard, eq.guard_key_identity, eq.key_vars, fact);
+      key_.Select(eq.guard_key, fact);
       if (filters_ != nullptr &&
           !filters_->filter(eq.cond_id).MightContain(key_.hash)) {
         ++suppressed_;
@@ -83,7 +82,7 @@ class MsjMapper : public mr::Mapper {
     for (size_t ei : c_->cond_eqs_of_input[input_index]) {
       const auto& eq = c_->equations[ei];
       if (!eq.conditional.Conforms(fact)) continue;
-      key_.Select(eq.conditional, eq.cond_key_identity, eq.key_vars, fact);
+      key_.Select(eq.cond_key, fact);
       if (filters_ != nullptr &&
           !filters_->filter(c_->num_conditions + eq.cond_id)
                .MightContain(key_.hash)) {
@@ -192,10 +191,13 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
     CompiledMsj::Equation eq;
     eq.guard = in.guard;
     eq.conditional = in.conditional;
-    eq.key_vars = in.conditional.SharedVariables(in.guard);
-    std::string sig =
-        in.conditional_dataset + "|" +
-        in.conditional.ConditionSignature(eq.key_vars);
+    const std::vector<std::string> key_vars =
+        in.conditional.SharedVariables(in.guard);
+    GUMBO_ASSIGN_OR_RETURN(eq.guard_key, in.guard.ProjectionOnto(key_vars));
+    GUMBO_ASSIGN_OR_RETURN(eq.cond_key,
+                           in.conditional.ProjectionOnto(key_vars));
+    std::string sig = in.conditional_dataset + "|" +
+                      in.conditional.ConditionSignature(key_vars);
     auto [it, inserted] =
         cond_ids.emplace(sig, static_cast<uint32_t>(cond_ids.size()));
     eq.cond_id = it->second;
@@ -203,8 +205,6 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
                            ? kTupleIdBytes
                            : 10.0 * static_cast<double>(in.guard.arity());
     eq.output_index = ei;
-    eq.guard_key_identity = in.guard.IsIdentityProjection(eq.key_vars);
-    eq.cond_key_identity = in.conditional.IsIdentityProjection(eq.key_vars);
     compiled->equations.push_back(std::move(eq));
 
     size_t gi = input_index_of(in.guard_dataset);
@@ -238,13 +238,13 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
     for (size_t ei : compiled->guard_eqs_of_input[i]) {
       const auto& eq = compiled->equations[ei];
       msgs += 1.0;
-      bytes += 10.0 * static_cast<double>(eq.key_vars.size()) +
+      bytes += 10.0 * static_cast<double>(eq.guard_key.positions.size()) +
                RequestWireBytes(eq.payload_bytes);
     }
     for (size_t ei : compiled->cond_eqs_of_input[i]) {
       const auto& eq = compiled->equations[ei];
       msgs += 1.0;
-      bytes += 10.0 * static_cast<double>(eq.key_vars.size()) +
+      bytes += 10.0 * static_cast<double>(eq.cond_key.positions.size()) +
                AssertWireBytes();
     }
     in.hint_messages_per_tuple = msgs;
@@ -279,7 +279,7 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
       for (size_t ei : compiled->cond_eqs_of_input[i]) {
         const auto& eq = compiled->equations[ei];
         if (cond_seen.insert(eq.cond_id).second) {
-          passes[eq.cond_id].emplace_back(i, eq.conditional, eq.key_vars);
+          passes[eq.cond_id].push_back({i, eq.conditional, eq.cond_key});
         }
       }
       // Guard keys of every equation go into the union filter of its
@@ -287,7 +287,7 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
       // guards, so the filter is sized for the sum of these passes.
       for (size_t ei : compiled->guard_eqs_of_input[i]) {
         const auto& eq = compiled->equations[ei];
-        passes[nc + eq.cond_id].emplace_back(i, eq.guard, eq.key_vars);
+        passes[nc + eq.cond_id].push_back({i, eq.guard, eq.guard_key});
       }
     }
     spec.filter_builder = FilterBuilder(std::move(passes), options.filter_fpp);

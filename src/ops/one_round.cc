@@ -23,6 +23,7 @@ namespace {
 // together at a reducer.
 struct KeyGroup {
   std::vector<std::string> key_vars;
+  sgf::Projection guard_key;  // the guard onto key_vars
   enum class Mode {
     kFullCondition,     // single group covering all atoms (case a)
     kLocalDisjunction,  // OR of this group's literals (case b)
@@ -57,6 +58,7 @@ struct KeyGroup {
 struct CompiledOneRound {
   struct Task {
     sgf::BsgfQuery query;
+    sgf::Projection select;  // the guard onto the SELECT variables
     std::vector<KeyGroup> groups;
     size_t output_index = 0;
     double payload_bytes = 0.0;  // SELECT projection wire size
@@ -68,18 +70,21 @@ struct CompiledOneRound {
     size_t group;
     uint32_t atom_index;
     uint32_t cond_id;
+    sgf::Projection key;  // the atom onto its group's key_vars
   };
   // Input routing.
   std::vector<std::vector<size_t>> guard_tasks_of_input;
   std::vector<std::vector<CondRoute>> cond_routes_of_input;
 };
 
-// Key layout: (task_id, group_id, join-key values...).
-Tuple MakeKey(size_t task, size_t group, TupleView projected) {
+// Key layout: (task_id, group_id, join-key values...), the join key
+// being `proj` applied to `fact`.
+Tuple MakeKey(size_t task, size_t group, const sgf::Projection& proj,
+              TupleView fact) {
   Tuple key;
   key.PushBack(Value::Int(static_cast<int64_t>(task)));
   key.PushBack(Value::Int(static_cast<int64_t>(group)));
-  for (uint32_t i = 0; i < projected.size(); ++i) key.PushBack(projected[i]);
+  for (uint32_t p : proj.positions) key.PushBack(fact[p]);
   return key;
 }
 
@@ -99,17 +104,15 @@ class OneRoundMapper : public mr::Mapper {
     for (size_t ti : c_->guard_tasks_of_input[input_index]) {
       const auto& task = c_->tasks[ti];
       if (!task.query.guard().Conforms(fact)) continue;
-      Tuple projection =
-          task.query.guard().Project(fact, task.query.select_vars());
+      Tuple projection = task.select.Apply(fact);
       for (size_t gi = 0; gi < task.groups.size(); ++gi) {
         const KeyGroup& group = task.groups[gi];
-        Tuple key_proj = task.query.guard().Project(fact, group.key_vars);
         // Drop the request only when every condition filter of the group
         // misses: no Assert can reach the reducer for this key, and the
         // group is marked safe to decide "false" on zero Asserts
         // (DESIGN.md §5.2).
         if (filters_ != nullptr && group.can_filter) {
-          const uint64_t h = key_proj.Hash();
+          const uint64_t h = ShuffleKeyHash(group.guard_key, fact);
           bool might = false;
           for (size_t ci = 0; ci < group.num_cond_ids; ++ci) {
             if (filters_->filter(group.filter_base + ci).MightContain(h)) {
@@ -122,8 +125,8 @@ class OneRoundMapper : public mr::Mapper {
             continue;
           }
         }
-        emitter->Emit(MakeKey(ti, gi, key_proj), kTagRequest, 0, projection,
-                      RequestWireBytes(task.payload_bytes));
+        emitter->Emit(MakeKey(ti, gi, group.guard_key, fact), kTagRequest, 0,
+                      projection, RequestWireBytes(task.payload_bytes));
       }
     }
     seen_.clear();
@@ -133,14 +136,13 @@ class OneRoundMapper : public mr::Mapper {
           task.query.conditional_atoms()[route.atom_index];
       if (!atom.Conforms(fact)) continue;
       const KeyGroup& group = task.groups[route.group];
-      Tuple key_proj = atom.Project(fact, group.key_vars);
       if (filters_ != nullptr && group.assert_filter != SIZE_MAX &&
           !filters_->filter(group.assert_filter)
-               .MightContain(key_proj.Hash())) {
+               .MightContain(ShuffleKeyHash(route.key, fact))) {
         ++suppressed_;  // no guard fact can request this key
         continue;
       }
-      Tuple key = MakeKey(route.task, route.group, key_proj);
+      Tuple key = MakeKey(route.task, route.group, route.key, fact);
       // Dedupe identical asserts for this fact (shared signatures).
       bool dup = false;
       for (const auto& [cid, k] : seen_) {
@@ -284,6 +286,8 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
     task.output_index = ti;
     task.payload_bytes =
         10.0 * static_cast<double>(in.query.select_vars().size());
+    GUMBO_ASSIGN_OR_RETURN(
+        task.select, in.query.guard().ProjectionOnto(in.query.select_vars()));
 
     // Build key groups.
     const auto& atoms = in.query.conditional_atoms();
@@ -340,6 +344,11 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
       }
     }
 
+    for (KeyGroup& g : task.groups) {
+      GUMBO_ASSIGN_OR_RETURN(g.guard_key,
+                             in.query.guard().ProjectionOnto(g.key_vars));
+    }
+
     // Filter eligibility per group (see KeyGroup::can_filter) and filter
     // index assignment: one Bloom filter per (group, condition id).
     if (options.bloom_filters) {
@@ -380,8 +389,11 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
       for (size_t g = 0; g < task.groups.size(); ++g) {
         for (const auto& lit : task.groups[g].literals) {
           if (lit.atom_index == ai) {
+            GUMBO_ASSIGN_OR_RETURN(
+                sgf::Projection key,
+                atoms[ai].ProjectionOnto(task.groups[g].key_vars));
             compiled->cond_routes_of_input[ii].push_back(
-                {ti, g, ai, lit.cond_id});
+                {ti, g, ai, lit.cond_id, std::move(key)});
           }
         }
       }
@@ -419,9 +431,9 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
         if (!g.can_filter) continue;
         const size_t fid = g.filter_base + route.cond_id;
         if (fid_seen.insert(fid).second) {
-          passes[fid].emplace_back(
-              i, task.query.conditional_atoms()[route.atom_index],
-              g.key_vars);
+          passes[fid].push_back(
+              {i, task.query.conditional_atoms()[route.atom_index],
+               route.key});
         }
       }
       // Guard side: every eligible group of every task guarded by this
@@ -430,8 +442,8 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
         const auto& task = compiled->tasks[ti];
         for (const KeyGroup& g : task.groups) {
           if (g.assert_filter == SIZE_MAX) continue;
-          passes[g.assert_filter].emplace_back(i, task.query.guard(),
-                                               g.key_vars);
+          passes[g.assert_filter].push_back(
+              {i, task.query.guard(), g.guard_key});
         }
       }
     }

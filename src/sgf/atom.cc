@@ -22,42 +22,39 @@ bool Atom::UsesVariable(const std::string& var) const {
   return false;
 }
 
-bool Atom::Conforms(TupleView fact) const {
-  if (fact.size() != terms_.size()) return false;
-  for (size_t i = 0; i < terms_.size(); ++i) {
+Atom::Atom(std::string relation, std::vector<Term> terms)
+    : relation_(std::move(relation)), terms_(std::move(terms)) {
+  for (uint32_t i = 0; i < terms_.size(); ++i) {
     const Term& t = terms_[i];
     if (t.is_constant()) {
-      if (fact[i] != t.value()) return false;
-    } else {
-      // Check equality with the first occurrence of the same variable.
-      for (size_t j = 0; j < i; ++j) {
-        if (terms_[j].is_variable() && terms_[j].var() == t.var()) {
-          if (fact[i] != fact[j]) return false;
-          break;
-        }
-      }
+      const_checks_.push_back({i, t.value().raw()});
+      continue;
+    }
+    const int first = PositionOf(t.var());
+    if (first != static_cast<int>(i)) {
+      eq_checks_.push_back({i, static_cast<uint32_t>(first)});
     }
   }
-  return true;
 }
 
-Tuple Atom::Project(TupleView fact,
-                    const std::vector<std::string>& vars) const {
-  Tuple out;
+Result<Projection> Atom::ProjectionOnto(
+    const std::vector<std::string>& vars) const {
+  Projection proj;
+  proj.positions.reserve(vars.size());
   for (const std::string& v : vars) {
-    int pos = PositionOf(v);
-    assert(pos >= 0 && "projection variable not in atom");
-    out.PushBack(fact[static_cast<uint32_t>(pos)]);
+    const int pos = PositionOf(v);
+    if (pos < 0) {
+      return Status::InvalidArgument("variable " + v + " does not occur in " +
+                                     ToString());
+    }
+    proj.positions.push_back(static_cast<uint32_t>(pos));
   }
-  return out;
-}
-
-bool Atom::IsIdentityProjection(const std::vector<std::string>& vars) const {
-  if (vars.size() != terms_.size()) return false;
-  for (size_t i = 0; i < vars.size(); ++i) {
-    if (PositionOf(vars[i]) != static_cast<int>(i)) return false;
+  // Identity: every position is a distinct variable, listed in term order.
+  proj.identity = proj.positions.size() == terms_.size();
+  for (uint32_t i = 0; proj.identity && i < proj.positions.size(); ++i) {
+    proj.identity = proj.positions[i] == i;
   }
-  return true;
+  return proj;
 }
 
 int Atom::PositionOf(const std::string& var) const {

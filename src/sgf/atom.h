@@ -3,22 +3,44 @@
 // Implements the paper's conformance relation (§4, "a fact T(a) conforms to
 // an atom U(t)") and projections pi_{alpha;x}(f), which are the primitive
 // operations of both the naive evaluator and the MapReduce operators.
+// Both are compiled from the variable names once — the conformance
+// program when the atom is built, a Projection when an operator is — so
+// the per-fact path compares raw words by position only (DESIGN.md §7).
 #ifndef GUMBO_SGF_ATOM_H_
 #define GUMBO_SGF_ATOM_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/tuple.h"
 #include "sgf/term.h"
 
 namespace gumbo::sgf {
 
+/// pi_{alpha;x} resolved to fact positions: Apply(fact)[i] is
+/// fact[positions[i]], each variable's first-occurrence position in the
+/// atom. Built by Atom::ProjectionOnto.
+struct Projection {
+  std::vector<uint32_t> positions;
+  /// Applying reproduces a conforming fact verbatim (the atom's terms are
+  /// distinct variables, projected in term order), so scans can reuse the
+  /// fact's stored fingerprint instead of hashing the key (DESIGN.md §7).
+  bool identity = false;
+
+  /// The projected key; inline (no allocation) up to arity 4.
+  Tuple Apply(TupleView fact) const {
+    Tuple out;
+    for (uint32_t p : positions) out.PushBack(fact[p]);
+    return out;
+  }
+};
+
 class Atom {
  public:
   Atom() = default;
-  Atom(std::string relation, std::vector<Term> terms)
-      : relation_(std::move(relation)), terms_(std::move(terms)) {}
+  Atom(std::string relation, std::vector<Term> terms);
 
   /// Convenience: atom over fresh variables var_names.
   static Atom Vars(std::string relation,
@@ -42,23 +64,24 @@ class Atom {
   /// Conformance check f |= this (paper §4): positions with equal terms
   /// hold equal values; constant positions hold that constant. The fact's
   /// relation is NOT checked here (callers route facts by relation).
-  /// Takes a zero-copy view; owning Tuples convert implicitly.
-  bool Conforms(TupleView fact) const;
+  /// Runs the conformance program compiled by the constructor over the
+  /// fact's raw words. Takes a zero-copy view; owning Tuples convert
+  /// implicitly.
+  bool Conforms(TupleView fact) const {
+    if (fact.size() != terms_.size()) return false;
+    const uint64_t* w = fact.words();
+    for (const ConstCheck& c : const_checks_) {
+      if (w[c.pos] != c.word) return false;
+    }
+    for (const EqCheck& c : eq_checks_) {
+      if (w[c.pos] != w[c.first]) return false;
+    }
+    return true;
+  }
 
-  /// pi_{this;vars}(fact): projects a conforming fact onto the given
-  /// variables (each var's first occurrence position). Callers must pass
-  /// variables that occur in this atom.
-  Tuple Project(TupleView fact, const std::vector<std::string>& vars) const;
-
-  /// Whether projecting onto `vars` reproduces the fact verbatim (every
-  /// position is a distinct variable, listed in term order). When true,
-  /// Project(fact, vars) == fact word-for-word, so scans can reuse the
-  /// fact's stored fingerprint instead of hashing the projection
-  /// (DESIGN.md §7).
-  bool IsIdentityProjection(const std::vector<std::string>& vars) const;
-
-  /// First-occurrence position of `var`, or -1.
-  int PositionOf(const std::string& var) const;
+  /// pi_{this;vars} resolved once: each variable's first-occurrence
+  /// position. InvalidArgument when some variable does not occur here.
+  Result<Projection> ProjectionOnto(const std::vector<std::string>& vars) const;
 
   /// The join key shared with a guard atom: variables of this atom that
   /// also occur in `guard`, ordered by first occurrence in *this* atom.
@@ -86,8 +109,24 @@ class Atom {
   std::string ToString(const Dictionary* dict = nullptr) const;
 
  private:
+  /// First-occurrence position of `var`, or -1.
+  int PositionOf(const std::string& var) const;
+
+  // The conformance program: fact[pos] must equal a constant's raw word,
+  // or the word at the first occurrence of the same variable.
+  struct ConstCheck {
+    uint32_t pos;
+    uint64_t word;
+  };
+  struct EqCheck {
+    uint32_t pos;
+    uint32_t first;
+  };
+
   std::string relation_;
   std::vector<Term> terms_;
+  std::vector<ConstCheck> const_checks_;
+  std::vector<EqCheck> eq_checks_;
 };
 
 }  // namespace gumbo::sgf

@@ -9,7 +9,9 @@ namespace {
 
 // Hash index over the key projection of all kappa-conforming facts.
 struct AtomIndex {
-  std::vector<std::string> key_vars;  // shared with guard, kappa order
+  // The key (variables shared with the guard, kappa order) resolved on
+  // the guard, which probes the index.
+  Projection guard_key;
   std::unordered_set<Tuple> keys;
   bool key_is_empty = false;  // no shared vars: truth = "any conforming fact"
   bool any_conforming = false;
@@ -18,8 +20,11 @@ struct AtomIndex {
 Result<AtomIndex> BuildIndex(const Atom& atom, const Atom& guard,
                              const Database& db) {
   AtomIndex index;
-  index.key_vars = atom.SharedVariables(guard);
-  index.key_is_empty = index.key_vars.empty();
+  const std::vector<std::string> key_vars = atom.SharedVariables(guard);
+  index.key_is_empty = key_vars.empty();
+  GUMBO_ASSIGN_OR_RETURN(index.guard_key, guard.ProjectionOnto(key_vars));
+  GUMBO_ASSIGN_OR_RETURN(const Projection atom_key,
+                         atom.ProjectionOnto(key_vars));
   GUMBO_ASSIGN_OR_RETURN(const Relation* rel, db.Get(atom.relation()));
   if (rel->arity() != atom.arity()) {
     return Status::InvalidArgument(
@@ -30,7 +35,7 @@ Result<AtomIndex> BuildIndex(const Atom& atom, const Atom& guard,
     if (!atom.Conforms(fact)) continue;
     index.any_conforming = true;
     if (!index.key_is_empty) {
-      index.keys.insert(atom.Project(fact, index.key_vars));
+      index.keys.insert(atom_key.Apply(fact));
     }
   }
   return index;
@@ -54,6 +59,9 @@ Result<Relation> NaiveEvalBsgf(const BsgfQuery& query, const Database& db) {
     indexes.push_back(std::move(idx));
   }
 
+  GUMBO_ASSIGN_OR_RETURN(
+      const Projection select,
+      query.guard().ProjectionOnto(query.select_vars()));
   Relation out(query.output(), query.OutputArity());
   for (RowView fact : guard_rel->views()) {
     if (!query.guard().Conforms(fact)) continue;
@@ -62,12 +70,11 @@ Result<Relation> NaiveEvalBsgf(const BsgfQuery& query, const Database& db) {
       keep = query.condition()->Evaluate([&](size_t i) {
         const AtomIndex& idx = indexes[i];
         if (idx.key_is_empty) return idx.any_conforming;
-        Tuple key = query.guard().Project(fact, idx.key_vars);
-        return idx.keys.count(key) > 0;
+        return idx.keys.count(idx.guard_key.Apply(fact)) > 0;
       });
     }
     if (keep) {
-      out.AddUnchecked(query.guard().Project(fact, query.select_vars()));
+      out.AddUnchecked(select.Apply(fact));
     }
   }
   out.SortAndDedupe();

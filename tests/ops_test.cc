@@ -387,5 +387,28 @@ TEST(ChainTest, UnionProjectDedupes) {
             (std::vector<std::vector<int64_t>>{{1}, {3}, {5}}));
 }
 
+// A SELECT variable the guard lacks is a build-time InvalidArgument, not
+// a job that asserts (Debug) or reads past the fact (Release) per row.
+TEST(ChainTest, UnionProjectRejectsSelectVarMissingFromGuard) {
+  auto job = BuildUnionProjectJob({"C1"}, sgf::Atom::Vars("R", {"x", "y"}),
+                                  {"q"}, "Z", OpOptions{}, "union");
+  ASSERT_FALSE(job.ok());
+  EXPECT_EQ(job.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ChainTest, ProjectingStepRejectsSelectVarMissingFromGuard) {
+  ChainStepSpec s;
+  s.guard = sgf::Atom::Vars("R", {"x", "y"});
+  s.input_dataset = "R";
+  s.conditional = sgf::Atom::Vars("S", {"x"});
+  s.conditional_dataset = "S";
+  s.emit_projection = true;
+  s.select_vars = {"x", "q"};
+  s.output_dataset = "Z";
+  auto job = BuildChainStepJob(s, OpOptions{}, "step");
+  ASSERT_FALSE(job.ok());
+  EXPECT_EQ(job.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace gumbo::ops

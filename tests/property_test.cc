@@ -1,6 +1,8 @@
 // Property-based tests of module invariants, using parameterized sweeps:
 //
 //  * DNF conversion is truth-table equivalent to the original condition;
+//  * the compiled atom (conformance program, resolved Projection) agrees
+//    with a literal transcription of the paper's §4 definitions;
 //  * parser round-trips: ToString(parse(q)) reparses to the same structure;
 //  * the scheduler respects fundamental bounds (net <= total, critical
 //    path lower bound, slot monotonicity);
@@ -24,6 +26,7 @@
 #include "plan/executor.h"
 #include "plan/planner.h"
 #include "plan/toposort.h"
+#include "sgf/atom.h"
 #include "sgf/condition.h"
 #include "sgf/parser.h"
 #include "test_util.h"
@@ -98,6 +101,147 @@ TEST_P(DnfPropertyTest, CloneIsEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DnfPropertyTest,
                          ::testing::Range<uint64_t>(0, 40));
+
+// ---- Compiled atoms vs. the paper's §4 definitions ---------------------------
+
+// f |= kappa, transcribed from paper §4: a fact a_1..a_n conforms to
+// U(t_1..t_n) iff the arities agree, t_i = t_j implies a_i = a_j, and a
+// constant t_i implies a_i = t_i.
+bool ReferenceConforms(const sgf::Atom& atom, TupleView fact) {
+  const std::vector<sgf::Term>& t = atom.terms();
+  if (fact.size() != t.size()) return false;
+  for (uint32_t i = 0; i < t.size(); ++i) {
+    if (t[i].is_constant() && fact[i] != t[i].value()) return false;
+    for (uint32_t j = 0; j < t.size(); ++j) {
+      if (t[i] == t[j] && fact[i] != fact[j]) return false;
+    }
+  }
+  return true;
+}
+
+// pi_{kappa;x}(f) for a conforming f: x_k's value is a_j for any j with
+// t_j = x_k (conformance makes every such j agree; take the last).
+Tuple ReferenceProject(const sgf::Atom& atom, TupleView fact,
+                       const std::vector<std::string>& vars) {
+  Tuple out;
+  for (const std::string& v : vars) {
+    uint32_t at = 0;
+    for (uint32_t j = 0; j < atom.arity(); ++j) {
+      if (atom.terms()[j] == sgf::Term::Var(v)) at = j;
+    }
+    out.PushBack(fact[at]);
+  }
+  return out;
+}
+
+// The identity rule the operators used before projections were compiled:
+// as many variables as terms, and each vars[i] first occurs at position i.
+bool ReferenceIdentity(const sgf::Atom& atom,
+                       const std::vector<std::string>& vars) {
+  if (vars.size() != atom.arity()) return false;
+  for (uint32_t i = 0; i < vars.size(); ++i) {
+    if (atom.terms()[i] != sgf::Term::Var(vars[i])) return false;
+    for (uint32_t j = 0; j < i; ++j) {
+      if (atom.terms()[j] == atom.terms()[i]) return false;
+    }
+  }
+  return true;
+}
+
+// A small domain so that random facts hit constants and repeats often:
+// ints -1..2 and two string ids.
+Value RandomValue(Xoshiro256* rng) {
+  const uint64_t k = rng->Uniform(6);
+  return k < 4 ? Value::Int(static_cast<int64_t>(k) - 1)
+               : Value::StringId(k - 4);
+}
+
+class CompiledAtomPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CompiledAtomPropertyTest, MatchesPaperDefinitions) {
+  Xoshiro256 rng(GetParam());
+  const std::vector<std::string> pool = {"x", "y", "z", "w"};
+  for (int round = 0; round < 200; ++round) {
+    // Random atom of arity 0-6: variables from a small pool (so repeats
+    // are common), int and string constants.
+    std::vector<sgf::Term> terms;
+    const uint64_t arity = rng.Uniform(7);
+    for (uint64_t i = 0; i < arity; ++i) {
+      if (rng.Bernoulli(0.25)) {
+        terms.push_back(sgf::Term::Const(RandomValue(&rng)));
+      } else {
+        terms.push_back(sgf::Term::Var(pool[rng.Uniform(pool.size())]));
+      }
+    }
+    const sgf::Atom atom("R", terms);
+    const std::vector<std::string> atom_vars = atom.Variables();
+
+    // Projection variables: the atom's own variables in term order
+    // (identity candidates), or a random list that may repeat variables
+    // and may name one the atom lacks.
+    std::vector<std::string> vars;
+    if (rng.Bernoulli(0.25)) {
+      vars = atom_vars;
+    } else {
+      const uint64_t n = rng.Uniform(5);
+      for (uint64_t i = 0; i < n; ++i) vars.push_back(pool[rng.Uniform(4)]);
+    }
+    bool known = true;
+    for (const std::string& v : vars) {
+      known = known && std::find(atom_vars.begin(), atom_vars.end(), v) !=
+                           atom_vars.end();
+    }
+    Result<sgf::Projection> proj = atom.ProjectionOnto(vars);
+    ASSERT_EQ(proj.ok(), known) << atom.ToString();
+    if (!known) {
+      EXPECT_EQ(proj.status().code(), StatusCode::kInvalidArgument);
+    } else {
+      EXPECT_EQ(proj->identity, ReferenceIdentity(atom, vars))
+          << atom.ToString();
+    }
+
+    for (int f = 0; f < 20; ++f) {
+      // Half the facts satisfy the atom by construction (then maybe get
+      // one position overwritten); the rest are random, arity mismatches
+      // included.
+      Tuple fact;
+      if (rng.Bernoulli(0.5)) {
+        std::vector<Value> binding;
+        for (size_t v = 0; v < pool.size(); ++v) {
+          binding.push_back(RandomValue(&rng));
+        }
+        for (const sgf::Term& t : terms) {
+          if (t.is_constant()) {
+            fact.PushBack(t.value());
+          } else {
+            const size_t v = static_cast<size_t>(
+                std::find(pool.begin(), pool.end(), t.var()) - pool.begin());
+            fact.PushBack(binding[v]);
+          }
+        }
+        if (arity > 0 && rng.Bernoulli(0.3)) {
+          fact[static_cast<uint32_t>(rng.Uniform(arity))] = RandomValue(&rng);
+        }
+      } else {
+        const uint64_t n = rng.Bernoulli(0.8) ? arity : rng.Uniform(8);
+        for (uint64_t i = 0; i < n; ++i) fact.PushBack(RandomValue(&rng));
+      }
+      const bool conforms = ReferenceConforms(atom, fact);
+      ASSERT_EQ(atom.Conforms(fact), conforms)
+          << atom.ToString() << " vs " << fact.ToString();
+      if (conforms && known) {
+        EXPECT_EQ(proj->Apply(fact), ReferenceProject(atom, fact, vars))
+            << atom.ToString() << " vs " << fact.ToString();
+        if (proj->identity) {
+          EXPECT_EQ(proj->Apply(fact), fact);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledAtomPropertyTest,
+                         ::testing::Range<uint64_t>(0, 20));
 
 // ---- Parser round-trip ---------------------------------------------------------
 

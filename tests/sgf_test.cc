@@ -37,8 +37,11 @@ TEST(AtomTest, ConformsChecksConstants) {
 TEST(AtomTest, ProjectionUsesFirstOccurrence) {
   // pi_{R(x,y,x,z); x,z}(R(1,2,1,3)) = (1,3) — paper §4 example.
   Atom a = Atom::Vars("R", {"x", "y", "x", "z"});
-  Tuple p = a.Project(Tuple::Ints({1, 2, 1, 3}), {"x", "z"});
-  EXPECT_EQ(p, Tuple::Ints({1, 3}));
+  Result<Projection> proj = a.ProjectionOnto({"x", "z"});
+  ASSERT_TRUE(proj.ok());
+  EXPECT_EQ(proj->positions, (std::vector<uint32_t>{0, 3}));
+  EXPECT_FALSE(proj->identity);
+  EXPECT_EQ(proj->Apply(Tuple::Ints({1, 2, 1, 3})), Tuple::Ints({1, 3}));
 }
 
 TEST(AtomTest, SharedVariablesKappaOrder) {
