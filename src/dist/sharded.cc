@@ -1,7 +1,6 @@
 #include "dist/sharded.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -20,13 +19,18 @@ namespace {
 
 constexpr double kMbPerByte = 1.0 / (1024.0 * 1024.0);
 
-/// Receives the next frame on (from -> me), parses it, and checks the
-/// type. A kError frame arriving instead carries a peer's failure — it
-/// is decoded and propagated as this shard's own status, which is how
+/// A received frame. `body` reads `bytes`' heap buffer, which moves keep.
+struct Received {
+  std::vector<uint8_t> bytes;
+  FrameReader body;
+};
+
+/// Receives the next frame on (from -> me), parses it once, and checks
+/// the type. A kError frame arriving instead carries a peer's failure —
+/// it is decoded and propagated as this shard's own status, which is how
 /// one shard's local error unwinds the whole lock-step protocol without
 /// waiting out the transport timeout.
-Result<std::vector<uint8_t>> ExpectFrame(Transport* tp, int me, int from,
-                                         FrameType want) {
+Result<Received> ExpectFrame(Transport* tp, int me, int from, FrameType want) {
   GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, tp->Recv(me, from));
   GUMBO_ASSIGN_OR_RETURN(FrameReader r, FrameReader::Parse(bytes));
   if (r.type() == FrameType::kError) {
@@ -41,7 +45,7 @@ Result<std::vector<uint8_t>> ExpectFrame(Transport* tp, int me, int from,
         std::to_string(from) + ", got " +
         std::to_string(static_cast<int>(r.type())));
   }
-  return bytes;
+  return Received{std::move(bytes), r};
 }
 
 /// Best-effort: tells every other shard this one failed, so their next
@@ -88,13 +92,12 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   if (me == 0) {
     double total_intermediate_mb = exec->OwnedIntermediateMb(owned_map);
     for (int s = 1; s < S; ++s) {
-      GUMBO_ASSIGN_OR_RETURN(
-          std::vector<uint8_t> bytes,
-          ExpectFrame(tp, me, s, FrameType::kMapStats));
-      exec->stats().dist_wire_mb += static_cast<double>(bytes.size()) * kMbPerByte;
-      GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(bytes));
+      GUMBO_ASSIGN_OR_RETURN(Received f,
+                             ExpectFrame(tp, me, s, FrameType::kMapStats));
+      exec->stats().dist_wire_mb +=
+          static_cast<double>(f.bytes.size()) * kMbPerByte;
       double shard_mb = 0.0;
-      GUMBO_RETURN_IF_ERROR(rd.ReadF64(&shard_mb));
+      GUMBO_RETURN_IF_ERROR(f.body.ReadF64(&shard_mb));
       total_intermediate_mb += shard_mb;
     }
     r = exec->ChooseReducers(total_intermediate_mb, exec->TotalInputMb());
@@ -112,11 +115,10 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
     w.F64(exec->OwnedIntermediateMb(owned_map));
     GUMBO_RETURN_IF_ERROR(
         tp->Send(me, 0, w.Finish(FrameType::kMapStats, me32, job_aux)));
-    GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+    GUMBO_ASSIGN_OR_RETURN(Received f,
                            ExpectFrame(tp, me, 0, FrameType::kReduceAlloc));
-    GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(bytes));
     uint32_t ru = 0;
-    GUMBO_RETURN_IF_ERROR(rd.ReadU32(&ru));
+    GUMBO_RETURN_IF_ERROR(f.body.ReadU32(&ru));
     r = static_cast<int>(ru);
   }
 
@@ -177,9 +179,9 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
     std::vector<mr::Shuffle::ImportMessage> msg_scratch;
     std::vector<size_t> payload_offsets;
     for (int s = 0; s < S; ++s) {
-      GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+      GUMBO_ASSIGN_OR_RETURN(Received f,
                              ExpectFrame(tp, me, s, FrameType::kShuffleChunk));
-      GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(bytes));
+      FrameReader& rd = f.body;
       while (rd.remaining() > 0) {
         uint32_t ti = 0;
         uint32_t key_arity = 0;
@@ -249,29 +251,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
     GUMBO_RETURN_IF_ERROR(
         tp->Send(me, 0, w.Finish(FrameType::kOutputFragment, me32, job_aux)));
     FrameWriter sw;
-    sw.F64(st.shuffle_mb);
-    sw.F64(st.hdfs_read_mb);
-    sw.F64(st.hdfs_write_mb);
-    sw.F64(exec->ReceivedMb());
-    sw.U32(static_cast<uint32_t>(st.map_task_costs.size()));
-    for (double c : st.map_task_costs) sw.F64(c);
-    sw.U32(static_cast<uint32_t>(st.reduce_task_costs.size()));
-    for (double c : st.reduce_task_costs) sw.F64(c);
-    sw.U32(static_cast<uint32_t>(st.inputs.size()));
-    for (const mr::InputStats& is : st.inputs) {
-      sw.F64(is.output_mb);
-      sw.F64(is.metadata_mb);
-    }
-    sw.U64(st.shuffle_records);
-    sw.U64(st.shuffle_messages);
-    sw.U64(st.fingerprint_collisions);
-    sw.U64(st.combined_messages);
-    sw.F64(st.combined_mb);
-    sw.U64(st.filtered_messages);
-    sw.U64(st.task_retries);
-    sw.U64(st.faults_injected);
-    sw.F64(st.retry_ms);
-    sw.F64(shuffle_sent_bytes);
+    EncodeJobStatsBody(st, exec->ReceivedMb(), shuffle_sent_bytes, &sw);
     GUMBO_RETURN_IF_ERROR(
         tp->Send(me, 0, sw.Finish(FrameType::kJobStats, me32, job_aux)));
     mr::Engine::JobResult partial;
@@ -293,10 +273,10 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   double wire_bytes_total = shuffle_sent_bytes;
   double received_mb = exec->ReceivedMb();
   for (int s = 1; s < S; ++s) {
-    GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> fbytes,
+    GUMBO_ASSIGN_OR_RETURN(Received frag,
                            ExpectFrame(tp, me, s, FrameType::kOutputFragment));
-    wire_bytes_total += static_cast<double>(fbytes.size());
-    GUMBO_ASSIGN_OR_RETURN(FrameReader frd, FrameReader::Parse(fbytes));
+    wire_bytes_total += static_cast<double>(frag.bytes.size());
+    FrameReader& frd = frag.body;
     while (frd.remaining() > 0) {
       uint32_t p = 0;
       GUMBO_RETURN_IF_ERROR(frd.ReadU32(&p));
@@ -315,72 +295,18 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
         GUMBO_RETURN_IF_ERROR(frd.ReadWords(f.rows, &f.fps));
       }
     }
-    GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> sbytes,
+    GUMBO_ASSIGN_OR_RETURN(Received stats,
                            ExpectFrame(tp, me, s, FrameType::kJobStats));
-    wire_bytes_total += static_cast<double>(sbytes.size());
-    GUMBO_ASSIGN_OR_RETURN(FrameReader srd, FrameReader::Parse(sbytes));
-    double shuffle_mb = 0.0, hdfs_read = 0.0, hdfs_write = 0.0, recv_mb = 0.0;
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&shuffle_mb));
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&hdfs_read));
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&hdfs_write));
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&recv_mb));
-    st.shuffle_mb += shuffle_mb;
-    st.hdfs_read_mb += hdfs_read;
-    st.hdfs_write_mb += hdfs_write;
+    wire_bytes_total += static_cast<double>(stats.bytes.size());
+    double recv_mb = 0.0;
+    double sent_bytes = 0.0;
+    if (Status ms =
+            MergeJobStatsBody(&stats.body, &st, &recv_mb, &sent_bytes);
+        !ms.ok()) {
+      return fail(ms);
+    }
     received_mb += recv_mb;
-    uint32_t n = 0;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU32(&n));
-    if (n != st.map_task_costs.size()) {
-      return fail(Status::ParseError("dist: map cost vector size mismatch"));
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      double c = 0.0;
-      GUMBO_RETURN_IF_ERROR(srd.ReadF64(&c));
-      st.map_task_costs[i] += c;
-    }
-    GUMBO_RETURN_IF_ERROR(srd.ReadU32(&n));
-    if (n != st.reduce_task_costs.size()) {
-      return fail(
-          Status::ParseError("dist: reduce cost vector size mismatch"));
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      double c = 0.0;
-      GUMBO_RETURN_IF_ERROR(srd.ReadF64(&c));
-      st.reduce_task_costs[i] += c;
-    }
-    GUMBO_RETURN_IF_ERROR(srd.ReadU32(&n));
-    if (n != st.inputs.size()) {
-      return fail(Status::ParseError("dist: input stats size mismatch"));
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      double out_mb = 0.0, meta_mb = 0.0;
-      GUMBO_RETURN_IF_ERROR(srd.ReadF64(&out_mb));
-      GUMBO_RETURN_IF_ERROR(srd.ReadF64(&meta_mb));
-      st.inputs[i].output_mb += out_mb;
-      st.inputs[i].metadata_mb += meta_mb;
-    }
-    uint64_t u = 0;
-    double d = 0.0;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.shuffle_records += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.shuffle_messages += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.fingerprint_collisions += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.combined_messages += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&d));
-    st.combined_mb += d;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.filtered_messages += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.task_retries += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.faults_injected += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&d));
-    st.retry_ms += d;
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&d));
-    wire_bytes_total += d;  // the worker's shuffle + fragment sends
+    wire_bytes_total += sent_bytes;  // the worker's shuffle + fragment sends
   }
 
   // Global reconciliation — same invariant, same tolerance as the
@@ -441,103 +367,57 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
         " shards needs a transport with as many endpoints");
   }
 
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point program_start = Clock::now();
-  auto ms_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-  };
-  const double transfer = engine_->config().costs.transfer;
-
-  mr::ProgramStats stats;
-  stats.jobs.resize(program.size());
-  const std::vector<std::vector<size_t>> rounds =
-      mr::Runtime::JobRounds(program);
-  stats.round_stats.reserve(rounds.size());
-
-  for (size_t ri = 0; ri < rounds.size(); ++ri) {
-    const std::vector<size_t>& round = rounds[ri];
-    const Clock::time_point round_start = Clock::now();
-    GUMBO_RETURN_IF_ERROR(CheckCancel(ctx.cancel));
-
-    // Jobs run sequentially in index order: the lock-step protocol keys
-    // frames by channel order, so two jobs in flight would interleave.
-    // Deterministic regardless — the single-process runtime commits in
-    // job order too, so results cannot differ.
-    std::vector<mr::Engine::JobResult> results;
-    results.reserve(round.size());
+  // Jobs run sequentially in index order: the lock-step protocol keys
+  // frames by channel order, so two jobs in flight would interleave.
+  // Deterministic regardless — the single-process runtime commits in job
+  // order too, so results cannot differ.
+  auto run_round = [&](const std::vector<size_t>& round,
+                       std::vector<mr::Engine::JobResult>* results)
+      -> Result<int> {
     for (size_t gj : round) {
       GUMBO_ASSIGN_OR_RETURN(
           mr::Engine::JobResult r,
           RunJob(program.job(gj), *db, ctx, static_cast<uint32_t>(gj)));
-      results.push_back(std::move(r));
+      results->push_back(std::move(r));
     }
-
-    // ---- Round barrier.
-    mr::RoundStats rs;
-    rs.round = static_cast<int>(ri + 1);
-    rs.jobs = round;
-    rs.max_concurrent = 1;
-    if (me == 0) {
-      // Commit in job order, broadcasting each job's committed relations
-      // so every replica re-synchronizes before the next round reads.
-      for (size_t k = 0; k < round.size(); ++k) {
-        mr::Engine::JobResult& r = results[k];
-        FrameWriter w;
-        w.U32(static_cast<uint32_t>(r.outputs.size()));
-        for (const Relation& out : r.outputs) EncodeRelationBody(out, &w);
-        std::vector<uint8_t> frame = w.Finish(
-            FrameType::kCommit, 0, static_cast<uint32_t>(round[k]));
-        r.stats.dist_wire_mb += static_cast<double>(frame.size()) *
-                                static_cast<double>(S - 1) * kMbPerByte;
-        r.stats.dist_cost = transfer * r.stats.dist_wire_mb;
-        for (int s = 1; s < S; ++s) {
-          GUMBO_RETURN_IF_ERROR(tp->Send(0, s, frame));
-        }
-        for (Relation& out : r.outputs) db->Put(std::move(out));
-        const double cost = r.stats.TotalCost();
-        rs.max_job_cost = std::max(rs.max_job_cost, cost);
-        rs.sum_job_cost += cost;
-        rs.shuffle_mb += r.stats.shuffle_mb;
-        stats.jobs[round[k]] = std::move(r.stats);
+    return 1;
+  };
+  // Round barrier: the coordinator commits in job order, broadcasting
+  // each job's committed relations so every replica re-synchronizes
+  // before the next round reads; workers adopt them. Each shard accounts
+  // its own stats (a worker's are its local shares).
+  auto commit = [&](size_t job, mr::Engine::JobResult* r) -> Status {
+    if (me != 0) {
+      GUMBO_ASSIGN_OR_RETURN(Received f,
+                             ExpectFrame(tp, me, 0, FrameType::kCommit));
+      uint32_t n = 0;
+      GUMBO_RETURN_IF_ERROR(f.body.ReadU32(&n));
+      for (uint32_t i = 0; i < n; ++i) {
+        GUMBO_ASSIGN_OR_RETURN(Relation rel, DecodeRelationBody(&f.body));
+        db->Put(std::move(rel));
       }
-    } else {
-      for (size_t k = 0; k < round.size(); ++k) {
-        GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                               ExpectFrame(tp, me, 0, FrameType::kCommit));
-        GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(bytes));
-        uint32_t n = 0;
-        GUMBO_RETURN_IF_ERROR(rd.ReadU32(&n));
-        for (uint32_t i = 0; i < n; ++i) {
-          GUMBO_ASSIGN_OR_RETURN(Relation rel, DecodeRelationBody(&rd));
-          db->Put(std::move(rel));
-        }
-        mr::RoundStats& worker_rs = rs;
-        worker_rs.shuffle_mb += results[k].stats.shuffle_mb;
-        stats.jobs[round[k]] = std::move(results[k].stats);
-      }
+      return Status::Ok();
     }
-    rs.wall_ms = ms_since(round_start);
-    stats.round_stats.push_back(std::move(rs));
-  }
-
-  stats.rounds = program.Rounds();
-  stats.wall_ms = ms_since(program_start);
-  for (const mr::JobStats& js : stats.jobs) stats.total_time += js.TotalCost();
-  std::vector<std::vector<size_t>> deps;
-  deps.reserve(program.size());
-  for (size_t i = 0; i < program.size(); ++i) deps.push_back(program.deps(i));
-  stats.net_time = mr::SimulateNetTime(stats.jobs, deps, engine_->config());
-  return stats;
+    FrameWriter w;
+    w.U32(static_cast<uint32_t>(r->outputs.size()));
+    for (const Relation& out : r->outputs) EncodeRelationBody(out, &w);
+    std::vector<uint8_t> frame =
+        w.Finish(FrameType::kCommit, 0, static_cast<uint32_t>(job));
+    r->stats.dist_wire_mb += static_cast<double>(frame.size()) *
+                             static_cast<double>(S - 1) * kMbPerByte;
+    r->stats.dist_cost =
+        engine_->config().costs.transfer * r->stats.dist_wire_mb;
+    for (int s = 1; s < S; ++s) GUMBO_RETURN_IF_ERROR(tp->Send(0, s, frame));
+    for (Relation& out : r->outputs) db->Put(std::move(out));
+    return Status::Ok();
+  };
+  return mr::RunRounds(program, engine_->config(), ctx, run_round, commit);
 }
 
 Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
                                              const mr::Program& program,
                                              Database* db, int shards,
                                              const SchedContext& ctx) {
-  if (shards <= 1) {
-    return mr::Runtime(engine).Execute(program, db, ctx);
-  }
   InProcTransport tp(shards);
   // Every shard — coordinator included — executes against its own
   // overlay replica: the shared base stays immutable while any shard

@@ -51,8 +51,6 @@ class ShardedRuntime {
   ShardedRuntime(mr::Engine* engine, Cluster cluster)
       : engine_(engine), cluster_(cluster) {}
 
-  const Cluster& cluster() const { return cluster_; }
-
   /// Executes `program` against this shard's database replica, in lock
   /// step with every other shard (all shards must call Execute with the
   /// same program). On success every replica holds the same committed
@@ -73,12 +71,11 @@ class ShardedRuntime {
   Cluster cluster_;
 };
 
-/// Convenience harness: runs `program` across `shards` in-process worker
-/// threads — each with its own overlay replica of `db` and an
-/// InProcTransport — and commits the coordinator's outputs into `db`.
-/// Semantically identical to Runtime::Execute (byte-identical outputs,
-/// merged stats); exists so callers (serve layer, tests, benches) can
-/// exercise real sharded execution without spawning processes.
+/// In-process harness behind plan::ExecutionContext::local_shards: runs
+/// `program` across `shards` (> 1) worker threads — each with its own
+/// overlay replica of `db` and one shared InProcTransport — and commits
+/// the coordinator's outputs into `db`. Semantically identical to
+/// Runtime::Execute (byte-identical outputs, merged stats).
 Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
                                              const mr::Program& program,
                                              Database* db, int shards,

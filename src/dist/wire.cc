@@ -1,5 +1,6 @@
 #include "dist/wire.h"
 
+#include <type_traits>
 #include <utility>
 
 namespace gumbo::dist {
@@ -99,6 +100,10 @@ Status FrameReader::ReadStr(std::string* s) {
 }
 
 Status FrameReader::ReadWords(size_t n, std::vector<uint64_t>* out) {
+  // Checked before resizing: a garbage count must not allocate.
+  if (remaining() / sizeof(uint64_t) < n) {
+    return Status::ParseError("wire: frame body over-read");
+  }
   out->resize(n);
   return Read(out->data(), n * sizeof(uint64_t));
 }
@@ -141,6 +146,68 @@ Result<Relation> DecodeRelationBody(FrameReader* r) {
   rel.Reserve(rows);
   rel.AppendRaw(words.data(), fps.data(), rows);
   return rel;
+}
+
+void EncodeJobStatsBody(const mr::JobStats& share, double received_mb,
+                        double sent_bytes, FrameWriter* w) {
+  mr::ForEachCounter([&](auto c, auto field) {
+    if constexpr (decltype(c)::merge == mr::Merge::kSum) w->Put(share.*field);
+  });
+  w->F64(received_mb);
+  w->F64(sent_bytes);
+  for (const std::vector<double>* slots :
+       {&share.map_task_costs, &share.reduce_task_costs}) {
+    w->U32(static_cast<uint32_t>(slots->size()));
+    for (double c : *slots) w->F64(c);
+  }
+  w->U32(static_cast<uint32_t>(share.inputs.size()));
+  for (const mr::InputStats& is : share.inputs) {
+    w->F64(is.output_mb);
+    w->F64(is.metadata_mb);
+  }
+}
+
+Status MergeJobStatsBody(FrameReader* r, mr::JobStats* into,
+                         double* received_mb, double* sent_bytes) {
+  auto add = [r](auto* to) -> Status {
+    std::remove_pointer_t<decltype(to)> v = 0;
+    GUMBO_RETURN_IF_ERROR(r->Get(&v));
+    *to += v;
+    return Status::Ok();
+  };
+  Status s = Status::Ok();
+  mr::ForEachCounter([&](auto c, auto field) {
+    if constexpr (decltype(c)::merge == mr::Merge::kSum) {
+      if (s.ok()) s = add(&(into->*field));
+    }
+  });
+  GUMBO_RETURN_IF_ERROR(s);
+  GUMBO_RETURN_IF_ERROR(r->ReadF64(received_mb));
+  GUMBO_RETURN_IF_ERROR(r->ReadF64(sent_bytes));
+  // Every slot vector must have the coordinator's shape: a share of the
+  // same job splits the same tasks, partitions and inputs.
+  auto expect_count = [r](size_t want) -> Status {
+    uint32_t n = 0;
+    GUMBO_RETURN_IF_ERROR(r->ReadU32(&n));
+    if (n == want) return Status::Ok();
+    return Status::ParseError("wire: job stats carry " + std::to_string(n) +
+                              " slots, expected " + std::to_string(want));
+  };
+  for (std::vector<double>* slots :
+       {&into->map_task_costs, &into->reduce_task_costs}) {
+    GUMBO_RETURN_IF_ERROR(expect_count(slots->size()));
+    for (double& c : *slots) GUMBO_RETURN_IF_ERROR(add(&c));
+  }
+  GUMBO_RETURN_IF_ERROR(expect_count(into->inputs.size()));
+  for (mr::InputStats& is : into->inputs) {
+    GUMBO_RETURN_IF_ERROR(add(&is.output_mb));
+    GUMBO_RETURN_IF_ERROR(add(&is.metadata_mb));
+  }
+  if (r->remaining() != 0) {
+    return Status::ParseError("wire: " + std::to_string(r->remaining()) +
+                              " trailing bytes after job stats");
+  }
+  return Status::Ok();
 }
 
 std::vector<uint8_t> EncodeErrorFrame(const Status& s, uint32_t src_shard) {

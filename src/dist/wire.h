@@ -32,11 +32,12 @@
 
 #include "common/relation.h"
 #include "common/result.h"
+#include "mr/stats.h"
 
 namespace gumbo::dist {
 
 inline constexpr uint32_t kWireMagic = 0x30424D47u;  // "GMB0" little-endian
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 32;
 
 /// Frame discriminators of the shard protocol (src/dist/sharded.cc).
@@ -60,6 +61,8 @@ class FrameWriter {
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
   void F64(double v) { Raw(&v, sizeof(v)); }
+  void Put(uint64_t v) { U64(v); }
+  void Put(double v) { F64(v); }
   void Str(const std::string& s) {
     U32(static_cast<uint32_t>(s.size()));
     Raw(s.data(), s.size());
@@ -98,8 +101,11 @@ class FrameReader {
   Status ReadU32(uint32_t* v) { return Read(v, sizeof(*v)); }
   Status ReadU64(uint64_t* v) { return Read(v, sizeof(*v)); }
   Status ReadF64(double* v) { return Read(v, sizeof(*v)); }
+  Status Get(uint64_t* v) { return ReadU64(v); }
+  Status Get(double* v) { return ReadF64(v); }
   Status ReadStr(std::string* s);
-  /// Reads `n` flat words into `out` (resized to exactly `n`).
+  /// Reads `n` flat words into `out` (resized to exactly `n`); a body
+  /// holding fewer fails before `out` is touched.
   Status ReadWords(size_t n, std::vector<uint64_t>* out);
 
   /// Bytes of body not yet consumed.
@@ -137,6 +143,22 @@ std::vector<uint8_t> EncodeRelationFrame(const Relation& rel,
 /// Decodes a relation encoded by EncodeRelationBody from `r`'s current
 /// position. Fingerprints are adopted verbatim (Relation::AppendRaw).
 Result<Relation> DecodeRelationBody(FrameReader* r);
+
+/// Encodes a worker's share of a job's accounting as a kJobStats body:
+/// every kSum row of the mr::GUMBO_JOB_COUNTERS table in table order,
+/// the shard's reduce-side received MB and sent frame bytes, then the
+/// count-prefixed per-map-task and per-reduce-task cost slots and each
+/// input's (output_mb, metadata_mb). Every value is 8 bytes.
+void EncodeJobStatsBody(const mr::JobStats& share, double received_mb,
+                        double sent_bytes, FrameWriter* w);
+
+/// Decodes a kJobStats body and adds the share into `*into` — the kSum
+/// counters and the disjoint slots (DESIGN.md §13) — and returns the
+/// shard's received MB and sent bytes. A truncated body, one with bytes
+/// left over, or one whose slot counts differ from `*into`'s is rejected
+/// with ParseError, after which `*into` is unspecified.
+Status MergeJobStatsBody(FrameReader* r, mr::JobStats* into,
+                         double* received_mb, double* sent_bytes);
 
 /// Encodes / decodes a Status as a kError body.
 std::vector<uint8_t> EncodeErrorFrame(const Status& s, uint32_t src_shard);

@@ -30,31 +30,11 @@ std::vector<std::vector<size_t>> Runtime::JobRounds(const Program& program) {
 
 Result<ProgramStats> Runtime::Execute(const Program& program, Database* db,
                                       const SchedContext& ctx) const {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point program_start = Clock::now();
-  auto ms_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-  };
-
-  ProgramStats stats;
-  stats.jobs.resize(program.size());
-  const std::vector<std::vector<size_t>> rounds = JobRounds(program);
-  stats.round_stats.reserve(rounds.size());
-
-  for (size_t ri = 0; ri < rounds.size(); ++ri) {
-    const std::vector<size_t>& round = rounds[ri];
-    const Clock::time_point round_start = Clock::now();
-
-    // Cancellation barrier: a query cancelled between rounds never
-    // starts the next one, and since a failing round commits nothing,
-    // the database still holds exactly the snapshot of the last fully
-    // committed round.
-    GUMBO_RETURN_IF_ERROR(CheckCancel(ctx.cancel));
-
+  auto run_round = [&](const std::vector<size_t>& round,
+                       std::vector<Engine::JobResult>* done) -> Result<int> {
     // Every dependency of this round's jobs was committed in an earlier
     // round, so all jobs read `db` concurrently without synchronization;
-    // nothing writes to it until the barrier below.
+    // nothing writes to it until the barrier.
     std::vector<std::optional<Result<Engine::JobResult>>> results(
         round.size());
     std::atomic<int> in_flight{0};
@@ -77,25 +57,54 @@ Result<ProgramStats> Runtime::Execute(const Program& program, Database* db,
     for (size_t k = 0; k < round.size(); ++k) {
       if (!results[k]->ok()) return results[k]->status();
     }
+    for (auto& r : results) done->push_back(std::move(**r));
+    return peak.load();
+  };
+  // Committing in job-index order makes the database contents (and any
+  // output-name collisions) match a sequential run exactly.
+  auto commit = [db](size_t, Engine::JobResult* r) {
+    for (Relation& out : r->outputs) db->Put(std::move(out));
+    return Status::Ok();
+  };
+  return RunRounds(program, engine_->config(), ctx, run_round, commit);
+}
 
-    // Barrier: commit outputs in job-index order so the database contents
-    // (and any output-name collisions) match a sequential run exactly.
+Result<ProgramStats> RunRounds(const Program& program,
+                               const cost::ClusterConfig& config,
+                               const SchedContext& ctx,
+                               const RoundRunner& run_round,
+                               const JobCommitter& commit) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point program_start = Clock::now();
+  auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+  };
+
+  ProgramStats stats;
+  stats.jobs.resize(program.size());
+  for (const std::vector<size_t>& round : Runtime::JobRounds(program)) {
+    const Clock::time_point round_start = Clock::now();
+    // Cancellation barrier: a query cancelled between rounds never
+    // starts the next one, and since a failing round commits nothing,
+    // the database still holds exactly the snapshot of the last fully
+    // committed round.
+    GUMBO_RETURN_IF_ERROR(CheckCancel(ctx.cancel));
+    std::vector<Engine::JobResult> results;
+    results.reserve(round.size());
+    GUMBO_ASSIGN_OR_RETURN(const int peak, run_round(round, &results));
+
     RoundStats rs;
-    rs.round = static_cast<int>(ri + 1);
+    rs.round = static_cast<int>(stats.round_stats.size() + 1);
     rs.jobs = round;
-    rs.max_concurrent = peak.load();
+    rs.max_concurrent = peak;
     for (size_t k = 0; k < round.size(); ++k) {
-      Engine::JobResult& r = **results[k];
-      for (Relation& out : r.outputs) db->Put(std::move(out));
-      double cost = r.stats.TotalCost();
+      GUMBO_RETURN_IF_ERROR(commit(round[k], &results[k]));
+      const double cost = results[k].stats.TotalCost();
       rs.max_job_cost = std::max(rs.max_job_cost, cost);
       rs.sum_job_cost += cost;
-      // Round-level shuffle volume is *derived* from the job stats at the
-      // commit barrier, never re-measured: JobStats::shuffle_mb is the
-      // single source of truth (see mr/stats.h; asserted in
-      // tests/runtime_test.cc).
-      rs.shuffle_mb += r.stats.shuffle_mb;
-      stats.jobs[round[k]] = std::move(r.stats);
+      rs.shuffle_mb += results[k].stats.shuffle_mb;
+      stats.jobs[round[k]] = std::move(results[k].stats);
     }
     rs.wall_ms = ms_since(round_start);
     stats.round_stats.push_back(std::move(rs));
@@ -107,7 +116,7 @@ Result<ProgramStats> Runtime::Execute(const Program& program, Database* db,
   std::vector<std::vector<size_t>> deps;
   deps.reserve(program.size());
   for (size_t i = 0; i < program.size(); ++i) deps.push_back(program.deps(i));
-  stats.net_time = SimulateNetTime(stats.jobs, deps, engine_->config());
+  stats.net_time = SimulateNetTime(stats.jobs, deps, config);
   return stats;
 }
 

@@ -21,6 +21,7 @@
 #ifndef GUMBO_MR_RUNTIME_H_
 #define GUMBO_MR_RUNTIME_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/relation.h"
@@ -34,8 +35,6 @@ namespace gumbo::mr {
 class Runtime {
  public:
   explicit Runtime(Engine* engine) : engine_(engine) {}
-
-  const Engine& engine() const { return *engine_; }
 
   /// The round structure of `program`: round k holds every job whose
   /// longest dependency chain has length k. Jobs within a round are
@@ -54,6 +53,24 @@ class Runtime {
  private:
   Engine* engine_;
 };
+
+/// The round loop both round runtimes share (Runtime above and
+/// dist::ShardedRuntime), and with it their one copy of the accounting.
+/// Per round, after a cancellation check: `run_round` executes the
+/// round's jobs, appending their results in round order, and returns the
+/// observed peak of jobs in flight; at the barrier `commit` publishes
+/// each job's outputs in job-index order, and the job's modeled cost and
+/// shuffle MB are charged to the round (RoundStats::shuffle_mb is derived
+/// from JobStats::shuffle_mb here, never re-measured). At the end: rounds,
+/// wall clock, total time, and net time from SimulateNetTime.
+using RoundRunner = std::function<Result<int>(
+    const std::vector<size_t>& round, std::vector<Engine::JobResult>* results)>;
+using JobCommitter = std::function<Status(size_t job, Engine::JobResult* result)>;
+Result<ProgramStats> RunRounds(const Program& program,
+                               const cost::ClusterConfig& config,
+                               const SchedContext& ctx,
+                               const RoundRunner& run_round,
+                               const JobCommitter& commit);
 
 }  // namespace gumbo::mr
 

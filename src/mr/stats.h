@@ -29,50 +29,75 @@ struct InputStats {
   int num_map_tasks = 0;     ///< m_i
 };
 
-struct JobStats {
+/// How a job counter merges when the shards of one sharded job are
+/// combined on the coordinator (dist::ShardedRuntime, DESIGN.md §13).
+/// Across the jobs of a program every counter sums (ProgramStats::Totals).
+enum class Merge {
+  kSum,         ///< each shard owns a disjoint share; the shares are summed
+  kReplicated,  ///< every shard computes the same global value
+  kCoordinator, ///< only the coordinator computes the value
+};
+
+// The scalar job counters: the one definition the JobStats fields,
+// ProgramStats::Totals, plan::Metrics and the kJobStats wire codec
+// (dist/wire.h) are generated from, so adding a counter is one row here.
+// Row: X(name, type, merge rule, deterministic); `deterministic` is false
+// for wall-clock counters. DESIGN.md §4 describes every row; note that
+// shuffle_mb (measured once, map-side, after combining) is the single
+// source of truth for shuffle volume — reduce-side totals and
+// RoundStats::shuffle_mb are derived from it, never re-measured.
+#define GUMBO_JOB_COUNTERS(X)                            \
+  X(num_reducers, int, kReplicated, true)                \
+  X(hdfs_read_mb, double, kSum, true)                    \
+  X(shuffle_mb, double, kSum, true)                      \
+  X(hdfs_write_mb, double, kSum, true)                   \
+  X(job_overhead, double, kReplicated, true)             \
+  X(shuffle_records, uint64_t, kSum, true)               \
+  X(shuffle_messages, uint64_t, kSum, true)              \
+  X(fingerprint_collisions, uint64_t, kSum, true)        \
+  X(combined_messages, uint64_t, kSum, true)             \
+  X(combined_mb, double, kSum, true)                     \
+  X(filtered_messages, uint64_t, kSum, true)             \
+  X(filter_mb, double, kReplicated, true)                \
+  X(filter_broadcast_mb, double, kReplicated, true)      \
+  X(filter_build_cost, double, kReplicated, true)        \
+  X(task_retries, uint64_t, kSum, true)                  \
+  X(faults_injected, uint64_t, kSum, true)               \
+  X(retry_ms, double, kSum, false)                       \
+  X(dist_wire_mb, double, kCoordinator, true)            \
+  X(dist_cost, double, kCoordinator, true)
+
+/// One GUMBO_JOB_COUNTERS row as ForEachCounter reports it; the merge rule
+/// is compile-time: `if constexpr (decltype(c)::merge == Merge::kSum)`.
+template <Merge M, bool Deterministic>
+struct Counter {
+  static constexpr Merge merge = M;
+  static constexpr bool deterministic = Deterministic;
+  const char* name;
+};
+
+/// The scalar counters of one job (or their sum over several jobs).
+struct JobCounters {
+#define GUMBO_COUNTER_FIELD(name, type, merge, det) type name = 0;
+  GUMBO_JOB_COUNTERS(GUMBO_COUNTER_FIELD)
+#undef GUMBO_COUNTER_FIELD
+};
+
+/// Calls `f(Counter<...>{name}, member pointer)` once per table row, in
+/// table order (the order the kJobStats frame ships the kSum rows in).
+template <typename F>
+void ForEachCounter(F&& f) {
+#define GUMBO_COUNTER_VISIT(name, type, merge, det) \
+  f(Counter<Merge::merge, det>{#name}, &JobCounters::name);
+  GUMBO_JOB_COUNTERS(GUMBO_COUNTER_VISIT)
+#undef GUMBO_COUNTER_VISIT
+}
+
+struct JobStats : JobCounters {
   std::string job_name;
   std::vector<InputStats> inputs;
   std::vector<double> map_task_costs;     ///< cost-seconds per map task
   std::vector<double> reduce_task_costs;  ///< cost-seconds per reduce task
-  int num_reducers = 0;
-  double hdfs_read_mb = 0.0;
-  /// Communication: mapper -> reducer bytes, measured once on the map
-  /// side of the shuffle, after combining (DESIGN.md §5.1). This is the
-  /// single source of truth for shuffle volume: the reduce-side partition
-  /// totals and RoundStats::shuffle_mb are derived from it, never
-  /// re-measured (reconciled in tests/runtime_test.cc).
-  double shuffle_mb = 0.0;
-  double hdfs_write_mb = 0.0;
-  double job_overhead = 0.0;  ///< cost_h
-
-  // ---- Shuffle-volume optimization counters (DESIGN.md §5) ----
-  uint64_t shuffle_records = 0;   ///< materialized records (post-packing)
-  uint64_t shuffle_messages = 0;  ///< shuffled values (post-combine)
-  /// Distinct keys whose 64-bit fingerprints collided in the map-side
-  /// grouping table (DESIGN.md §3); resolved by full-key compares, so
-  /// purely diagnostic for hash quality.
-  uint64_t fingerprint_collisions = 0;
-  uint64_t combined_messages = 0; ///< values removed by the combiner
-  double combined_mb = 0.0;       ///< intermediate MB the combiner removed
-  uint64_t filtered_messages = 0; ///< emissions suppressed by Bloom filters
-  double filter_mb = 0.0;           ///< Bloom filter bitset MB (represented)
-  double filter_broadcast_mb = 0.0; ///< filter_mb shipped to every map task
-  double filter_build_cost = 0.0;   ///< cost-seconds to build the filters
-
-  // ---- Fault-tolerance counters (DESIGN.md §11) ----
-  uint64_t task_retries = 0;    ///< task attempts abandoned and re-run
-  uint64_t faults_injected = 0; ///< injected faults this job observed
-  double retry_ms = 0.0;        ///< wall time spent in abandoned attempts
-
-  // ---- Distribution (DESIGN.md §13) ----
-  /// Real bytes this job pushed through the shard transport (shuffle
-  /// chunks, control frames, output fragments), summed across shards.
-  /// Unlike shuffle_mb these are raw frame MB, not represented MB:
-  /// they measure the wire format itself. 0 in single-process runs.
-  double dist_wire_mb = 0.0;
-  /// Cost-seconds charged for dist_wire_mb at the model's network
-  /// transfer rate t (§5.3) — the measured counterpart of the t·M term.
-  double dist_cost = 0.0;
 
   /// Aggregate cost of the job = cost_h + filter build + real wire
   /// transfer + all task costs (filter broadcast is inside the map task
@@ -110,14 +135,6 @@ struct ProgramStats {
   double wall_ms = 0.0;     ///< real wall-clock of the whole program
   int rounds = 0;           ///< longest dependency chain of jobs
 
-  /// Modeled net time under an idealized unconstrained cluster: rounds run
-  /// back to back, jobs within a round fully overlap (max-per-round). An
-  /// upper-level sanity bound on the slot-constrained net_time.
-  double RoundNetTime() const {
-    double v = 0.0;
-    for (const auto& r : round_stats) v += r.max_job_cost;
-    return v;
-  }
   /// Largest observed number of concurrently-executing jobs in any round.
   int MaxConcurrentJobs() const {
     int v = 0;
@@ -127,71 +144,13 @@ struct ProgramStats {
     return v;
   }
 
-  double HdfsReadMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.hdfs_read_mb;
-    return v;
-  }
-  double ShuffleMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.shuffle_mb;
-    return v;
-  }
-  double HdfsWriteMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.hdfs_write_mb;
-    return v;
-  }
-
-  // ---- Shuffle-volume optimization aggregates (DESIGN.md §5) ----
-  uint64_t ShuffleRecords() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.shuffle_records;
-    return v;
-  }
-  uint64_t ShuffleMessages() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.shuffle_messages;
-    return v;
-  }
-  uint64_t CombinedMessages() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.combined_messages;
-    return v;
-  }
-  uint64_t FilteredMessages() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.filtered_messages;
-    return v;
-  }
-  double FilterBroadcastMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.filter_broadcast_mb;
-    return v;
-  }
-
-  // ---- Distribution aggregates (DESIGN.md §13) ----
-  double DistWireMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.dist_wire_mb;
-    return v;
-  }
-
-  // ---- Fault-tolerance aggregates (DESIGN.md §11) ----
-  uint64_t TaskRetries() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.task_retries;
-    return v;
-  }
-  uint64_t FaultsInjected() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.faults_injected;
-    return v;
-  }
-  double RetryMs() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.retry_ms;
-    return v;
+  /// Every counter summed over the program's jobs, in job order.
+  JobCounters Totals() const {
+    JobCounters t;
+    for (const JobStats& j : jobs) {
+      ForEachCounter([&](auto, auto field) { t.*field += j.*field; });
+    }
+    return t;
   }
 };
 

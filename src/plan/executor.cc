@@ -26,8 +26,8 @@ Result<mr::ProgramStats> RunProgram(const mr::Program& program,
   return mr::Runtime(engine).Execute(program, db, ctx.sched);
 }
 
-// The paper's four metrics plus the shuffle/round counters, derived from
-// the program statistics.
+// The paper's four metrics plus the round counters, derived from the
+// program statistics; the job counters are the table's totals.
 void FillMetrics(ExecutionResult* result) {
   // Full reset first: Metrics also carries serving fields (plan_cache_hit,
   // queue_ms, sched_wait_ms) that this derivation does not touch, and
@@ -36,30 +36,19 @@ void FillMetrics(ExecutionResult* result) {
   // (tests/serve_test.cc pins this).
   result->metrics = Metrics{};
   Metrics& m = result->metrics;
-  m.net_time = result->stats.net_time;
-  m.total_time = result->stats.total_time;
-  m.input_mb = result->stats.HdfsReadMb();
-  m.communication_mb =
-      result->stats.ShuffleMb() + result->stats.FilterBroadcastMb();
-  m.shuffle_mb = result->stats.ShuffleMb();
-  m.dist_wire_mb = result->stats.DistWireMb();
-  m.output_mb = result->stats.HdfsWriteMb();
-  m.shuffle_records = result->stats.ShuffleRecords();
-  m.shuffle_messages = result->stats.ShuffleMessages();
-  m.combined_messages = result->stats.CombinedMessages();
-  m.filtered_messages = result->stats.FilteredMessages();
-  m.filter_broadcast_mb = result->stats.FilterBroadcastMb();
-  m.wall_ms = result->stats.wall_ms;
-  m.jobs = static_cast<int>(result->stats.jobs.size());
-  m.rounds = result->stats.rounds;
-  for (const mr::RoundStats& r : result->stats.round_stats) {
+  const mr::ProgramStats& stats = result->stats;
+  static_cast<mr::JobCounters&>(m) = stats.Totals();
+  m.communication_mb = m.shuffle_mb + m.filter_broadcast_mb;
+  m.net_time = stats.net_time;
+  m.total_time = stats.total_time;
+  m.wall_ms = stats.wall_ms;
+  m.jobs = static_cast<int>(stats.jobs.size());
+  m.rounds = stats.rounds;
+  for (const mr::RoundStats& r : stats.round_stats) {
     m.max_jobs_per_round =
         std::max(m.max_jobs_per_round, static_cast<int>(r.jobs.size()));
   }
-  m.peak_running_jobs = result->stats.MaxConcurrentJobs();
-  m.task_retries = result->stats.TaskRetries();
-  m.faults_injected = result->stats.FaultsInjected();
-  m.retry_ms = result->stats.RetryMs();
+  m.peak_running_jobs = stats.MaxConcurrentJobs();
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ Outcome CheckStrategy(const sgf::SgfQuery& query, const Database& db,
                ? Outcome::kCleanError
                : Outcome::kFail;
   }
-  if (retries != nullptr) *retries += executed->stats.TaskRetries();
+  if (retries != nullptr) *retries += executed->stats.Totals().task_retries;
   *detail = DiffOutputs(expected, out, outputs);
   return detail->empty() ? Outcome::kOk : Outcome::kFail;
 }

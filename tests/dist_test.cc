@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancel.h"
@@ -170,6 +172,25 @@ TEST(WireTest, RejectsTruncatedForeignSkewedAndCorruptFrames) {
   EXPECT_OK(FrameReader::Parse(frame));
 }
 
+// A row count no body could hold is a ParseError, not an allocation:
+// the reader checks the words are present before sizing any vector.
+TEST(WireTest, RelationRejectsOversizedRowCount) {
+  for (const uint64_t rows : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    FrameWriter w;
+    w.Str("r");
+    w.U32(2);      // arity
+    w.F64(0.0);    // bytes_per_tuple
+    w.F64(1.0);    // representation scale
+    w.U64(rows);   // no words follow
+    const std::vector<uint8_t> frame = w.Finish(FrameType::kRelation, 0);
+    auto rd = FrameReader::Parse(frame);
+    ASSERT_OK(rd);
+    auto rel = DecodeRelationBody(&*rd);
+    ASSERT_FALSE(rel.ok()) << rows;
+    EXPECT_EQ(rel.status().code(), StatusCode::kParseError) << rows;
+  }
+}
+
 TEST(WireTest, ErrorFrameCarriesStatus) {
   const Status s = Status::Unavailable("shard 2 lost its replica");
   const std::vector<uint8_t> frame = EncodeErrorFrame(s, /*src=*/2);
@@ -180,6 +201,123 @@ TEST(WireTest, ErrorFrameCarriesStatus) {
   EXPECT_EQ(back.code(), StatusCode::kUnavailable);
   EXPECT_NE(back.ToString().find("shard 2 lost its replica"),
             std::string::npos);
+}
+
+// A job-stats share with a distinct value in every counter and slot, so a
+// codec that swaps two fields (say shuffle_records and shuffle_messages)
+// cannot round-trip it.
+mr::JobStats DistinctShare() {
+  mr::JobStats st;
+  int i = 0;
+  mr::ForEachCounter([&](auto, auto field) {
+    using T = std::remove_reference_t<decltype(st.*field)>;
+    st.*field = static_cast<T>(++i);
+  });
+  st.map_task_costs = {101.5, 102.5, 103.5};
+  st.reduce_task_costs = {201.5, 202.5};
+  st.inputs.resize(2);
+  st.inputs[0].output_mb = 301.5;
+  st.inputs[0].metadata_mb = 302.5;
+  st.inputs[1].output_mb = 303.5;
+  st.inputs[1].metadata_mb = 304.5;
+  return st;
+}
+
+std::vector<uint8_t> JobStatsFrame(const mr::JobStats& st) {
+  FrameWriter w;
+  EncodeJobStatsBody(st, /*received_mb=*/401.5, /*sent_bytes=*/402.5, &w);
+  return w.Finish(FrameType::kJobStats, /*src_shard=*/1);
+}
+
+// The coordinator's side of a job the share belongs to: same task,
+// partition and input counts, every value zero.
+mr::JobStats ZeroShaped(const mr::JobStats& share) {
+  mr::JobStats st;
+  st.map_task_costs.assign(share.map_task_costs.size(), 0.0);
+  st.reduce_task_costs.assign(share.reduce_task_costs.size(), 0.0);
+  st.inputs.resize(share.inputs.size());
+  return st;
+}
+
+TEST(WireTest, JobStatsRoundTripsEveryShippedField) {
+  const mr::JobStats sent = DistinctShare();
+  const std::vector<uint8_t> frame = JobStatsFrame(sent);
+  auto rd = FrameReader::Parse(frame);
+  ASSERT_OK(rd);
+  mr::JobStats got = ZeroShaped(sent);
+  double received_mb = 0.0;
+  double sent_bytes = 0.0;
+  ASSERT_OK(MergeJobStatsBody(&*rd, &got, &received_mb, &sent_bytes));
+  EXPECT_EQ(received_mb, 401.5);
+  EXPECT_EQ(sent_bytes, 402.5);
+  size_t shipped = 0;
+  mr::ForEachCounter([&](auto c, auto field) {
+    if (decltype(c)::merge == mr::Merge::kSum) {
+      ++shipped;
+      EXPECT_EQ(got.*field, sent.*field) << c.name;
+    } else {
+      // Replicated and coordinator counters never travel.
+      EXPECT_EQ(got.*field, 0) << c.name;
+    }
+  });
+  EXPECT_EQ(got.map_task_costs, sent.map_task_costs);
+  EXPECT_EQ(got.reduce_task_costs, sent.reduce_task_costs);
+  for (size_t i = 0; i < sent.inputs.size(); ++i) {
+    EXPECT_EQ(got.inputs[i].output_mb, sent.inputs[i].output_mb);
+    EXPECT_EQ(got.inputs[i].metadata_mb, sent.inputs[i].metadata_mb);
+  }
+  // Every shipped value is 8 bytes: the counters, received MB and sent
+  // bytes, and the slots; plus three 4-byte count prefixes.
+  EXPECT_EQ(frame.size(), kFrameHeaderBytes + 8 * (shipped + 2) + 3 * 4 +
+                              8 * (3 + 2 + 2 * 2));
+}
+
+// `frame` with its body cut or padded (0xAB bytes) to `body_bytes` and its
+// header's length and checksum patched to match: a well-formed frame that
+// only the kJobStats body decoder can reject.
+std::vector<uint8_t> Reseal(std::vector<uint8_t> frame, size_t body_bytes) {
+  frame.resize(kFrameHeaderBytes + body_bytes, 0xAB);
+  const uint64_t n = body_bytes;
+  const uint64_t sum =
+      WireChecksum(frame.data() + kFrameHeaderBytes, body_bytes);
+  std::memcpy(frame.data() + 16, &n, sizeof(n));    // body_bytes field
+  std::memcpy(frame.data() + 24, &sum, sizeof(sum));  // checksum field
+  return frame;
+}
+
+Status DecodeJobStatsFrame(const std::vector<uint8_t>& frame) {
+  GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(frame));
+  mr::JobStats got = ZeroShaped(DistinctShare());
+  double received_mb = 0.0;
+  double sent_bytes = 0.0;
+  return MergeJobStatsBody(&rd, &got, &received_mb, &sent_bytes);
+}
+
+TEST(WireTest, JobStatsRejectsTruncatedAndTrailingBodies) {
+  const std::vector<uint8_t> frame = JobStatsFrame(DistinctShare());
+  const size_t body = frame.size() - kFrameHeaderBytes;
+  ASSERT_OK(DecodeJobStatsFrame(Reseal(frame, body)));
+  for (size_t len = 0; len < body; ++len) {
+    const Status s = DecodeJobStatsFrame(Reseal(frame, len));
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << len << " of " << body;
+  }
+  // A skewed worker shipping one extra byte or one extra counter.
+  for (size_t extra : {1, 8}) {
+    const Status s = DecodeJobStatsFrame(Reseal(frame, body + extra));
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << extra;
+  }
+  // A worker whose share splits the job differently (here: a count prefix
+  // promising 2^32-1 map-cost slots) is rejected before any slot is read.
+  size_t shipped = 0;
+  mr::ForEachCounter([&](auto c, auto) {
+    if (decltype(c)::merge == mr::Merge::kSum) ++shipped;
+  });
+  std::vector<uint8_t> huge = frame;
+  const uint32_t n = 0xFFFFFFFFu;
+  std::memcpy(huge.data() + kFrameHeaderBytes + 8 * (shipped + 2), &n,
+              sizeof(n));
+  EXPECT_EQ(DecodeJobStatsFrame(Reseal(huge, body)).code(),
+            StatusCode::kParseError);
 }
 
 // ---- Shuffle export / import ------------------------------------------------
@@ -388,6 +526,68 @@ TEST(ShardedTest, ByteIdenticalToSingleProcessAtAnyShardCount) {
       EXPECT_EQ(sharded, reference);
       // Real frames crossed the (in-process) wire and were charged.
       EXPECT_GT(wire_mb, 0.0);
+    }
+  }
+}
+
+// The merged job accounting of a sharded run equals the single-process
+// run's, walked over the counter table: every kSum and kReplicated
+// counter, every input's (N_i, M_i, Mhat_i, m_i), and every per-task cost
+// slot. Coordinator-only counters (the wire bytes) and wall-clock
+// counters are skipped.
+TEST(ShardedTest, EveryDeterministicCounterIsShardCountInvariant) {
+  auto stats_at = [](const std::string& wl, int shards) {
+    mr::ProgramStats stats;
+    auto w = SmallWorkload(wl);
+    EXPECT_OK(w);
+    if (!w.ok()) return stats;
+    const cost::ClusterConfig config = TestCluster();
+    plan::Planner planner(config, plan::PlannerOptions{});
+    auto plan = planner.Plan(w->query, w->db);
+    EXPECT_OK(plan);
+    if (!plan.ok()) return stats;
+    mr::Engine engine(config);
+    plan::ExecutionContext ectx;
+    ectx.local_shards = shards;
+    auto result = plan::ExecutePlan(*plan, &engine, &w->db, ectx);
+    EXPECT_OK(result);
+    if (result.ok()) stats = std::move(result->stats);
+    return stats;
+  };
+  for (const std::string wl : {"A1", "A3", "B1"}) {
+    const mr::ProgramStats reference = stats_at(wl, 1);
+    ASSERT_FALSE(reference.jobs.empty()) << wl;
+    for (const int shards : {2, 3, 4}) {
+      SCOPED_TRACE(wl + " at " + std::to_string(shards) + " shards");
+      const mr::ProgramStats sharded = stats_at(wl, shards);
+      ASSERT_EQ(sharded.jobs.size(), reference.jobs.size());
+      for (size_t j = 0; j < reference.jobs.size(); ++j) {
+        const mr::JobStats& want = reference.jobs[j];
+        const mr::JobStats& got = sharded.jobs[j];
+        SCOPED_TRACE("job " + want.job_name);
+        size_t checked = 0;
+        mr::ForEachCounter([&](auto c, auto field) {
+          if (decltype(c)::merge == mr::Merge::kCoordinator ||
+              !decltype(c)::deterministic) {
+            return;
+          }
+          ++checked;
+          EXPECT_EQ(got.*field, want.*field) << c.name;
+        });
+        EXPECT_GT(checked, 0u);
+        ASSERT_EQ(got.inputs.size(), want.inputs.size());
+        for (size_t i = 0; i < want.inputs.size(); ++i) {
+          EXPECT_EQ(got.inputs[i].dataset, want.inputs[i].dataset);
+          EXPECT_EQ(got.inputs[i].input_mb, want.inputs[i].input_mb) << i;
+          EXPECT_EQ(got.inputs[i].output_mb, want.inputs[i].output_mb) << i;
+          EXPECT_EQ(got.inputs[i].metadata_mb, want.inputs[i].metadata_mb)
+              << i;
+          EXPECT_EQ(got.inputs[i].num_map_tasks, want.inputs[i].num_map_tasks)
+              << i;
+        }
+        EXPECT_EQ(got.map_task_costs, want.map_task_costs);
+        EXPECT_EQ(got.reduce_task_costs, want.reduce_task_costs);
+      }
     }
   }
 }

@@ -363,9 +363,9 @@ TEST(PlanCacheTest, CachedPlanRerunsDoNotAccumulateMetrics) {
     EXPECT_EQ(hit.metrics.filtered_messages, cold.metrics.filtered_messages);
     EXPECT_DOUBLE_EQ(hit.metrics.net_time, cold.metrics.net_time);
     EXPECT_DOUBLE_EQ(hit.metrics.total_time, cold.metrics.total_time);
-    EXPECT_DOUBLE_EQ(hit.metrics.input_mb, cold.metrics.input_mb);
+    EXPECT_DOUBLE_EQ(hit.metrics.hdfs_read_mb, cold.metrics.hdfs_read_mb);
     EXPECT_DOUBLE_EQ(hit.metrics.shuffle_mb, cold.metrics.shuffle_mb);
-    EXPECT_DOUBLE_EQ(hit.metrics.output_mb, cold.metrics.output_mb);
+    EXPECT_DOUBLE_EQ(hit.metrics.hdfs_write_mb, cold.metrics.hdfs_write_mb);
     EXPECT_DOUBLE_EQ(hit.metrics.filter_broadcast_mb,
                      cold.metrics.filter_broadcast_mb);
   }
