@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "common/scheduler.h"
 
@@ -107,13 +108,20 @@ void Relation::AppendFrom(const Relation& other) {
   ++append_version_;
 }
 
-void Relation::AppendRaw(const uint64_t* words, const uint64_t* fps,
-                         size_t rows) {
-  if (rows == 0) return;
-  assert(fps[0] == TupleFingerprint(words, arity_) &&
-         "AppendRaw fed a fingerprint that does not match its row");
-  words_.insert(words_.end(), words, words + rows * arity_);
-  fingerprints_.insert(fingerprints_.end(), fps, fps + rows);
+void Relation::AdoptRaw(std::vector<uint64_t> words,
+                        std::vector<uint64_t> fps) {
+  assert(words.size() == fps.size() * arity_ &&
+         "AdoptRaw fed words that do not match its fingerprints");
+  if (fps.empty()) return;
+  assert(fps[0] == TupleFingerprint(words.data(), arity_) &&
+         "AdoptRaw fed a fingerprint that does not match its row");
+  if (empty()) {
+    words_ = std::move(words);
+    fingerprints_ = std::move(fps);
+  } else {
+    words_.insert(words_.end(), words.begin(), words.end());
+    fingerprints_.insert(fingerprints_.end(), fps.begin(), fps.end());
+  }
   ++append_version_;
 }
 

@@ -229,15 +229,18 @@ class Relation {
   /// semantics follow with SortAndDedupe.
   void AppendFrom(const Relation& other);
 
-  /// Bulk-appends `rows` rows from raw arenas: `words` (rows * arity()
-  /// flat words) and `fps` (one stored fingerprint per row) are copied
-  /// verbatim — NEVER re-hashed, so fingerprints decoded from a wire
-  /// frame (src/dist/wire.h) survive round-trips bit-for-bit. The caller
-  /// vouches that fps[i] == TupleFingerprint(row i) — debug builds spot-
-  /// check the first row.
-  void AppendRaw(const uint64_t* words, const uint64_t* fps, size_t rows);
+  /// Bulk-appends the fps.size() rows of raw arenas: `words`
+  /// (fps.size() * arity() flat words) and `fps` (one stored fingerprint
+  /// per row), verbatim — NEVER re-hashed, so fingerprints decoded from a
+  /// wire frame (src/dist/wire.h) survive round-trips bit-for-bit. An
+  /// empty relation adopts both vectors without copying a word; otherwise
+  /// they are appended with two bulk copies. The caller vouches that
+  /// fps[i] == TupleFingerprint(row i) — debug builds spot-check the
+  /// first row.
+  void AdoptRaw(std::vector<uint64_t> words, std::vector<uint64_t> fps);
 
-  /// Bumped every time rows are appended (AddWords/Adopt/AppendFrom).
+  /// Bumped every time rows are appended (AddWords/Adopt/AppendFrom/
+  /// AdoptRaw).
   /// Together with shape_version(), lets Database::SettleLoans classify
   /// what a mutable-handle holder actually did: nothing, pure appends, or
   /// a reshape.

@@ -1,5 +1,6 @@
 #include "common/scheduler.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/config.h"
@@ -21,6 +22,12 @@ uint64_t NowUs() {
 // route through the injection queue instead.
 thread_local Scheduler* tls_scheduler = nullptr;
 thread_local size_t tls_worker = 0;
+
+// Microseconds this thread has spent inside TaskGroup::Wait, outermost
+// waits only. A closure that waits on a nested group subtracts what its
+// own waits took from its busy time: the closures it helped run there
+// are counted by their own groups, and blocked waiting is not work.
+thread_local uint64_t tls_wait_us = 0;
 
 // Every kStarvationPeriod-th dispatch scans low -> high so a saturated
 // high class cannot starve background work indefinitely. Prime-ish and
@@ -148,13 +155,16 @@ bool Scheduler::RunClosure(const std::shared_ptr<TaskGroup::State>& s,
       s->stalled = false;
     }
   }
+  const uint64_t waited_before = tls_wait_us;
   const uint64_t start = NowUs();
   fn();
   const uint64_t elapsed = NowUs() - start;
+  const uint64_t nested_wait =
+      std::min(elapsed, tls_wait_us - waited_before);
   bool done;
   {
     std::lock_guard<std::mutex> lock(s->mu);
-    s->busy_us += elapsed;
+    s->busy_us += elapsed - nested_wait;
     s->morsels++;
     s->running--;
     s->pending--;
@@ -283,6 +293,10 @@ void Scheduler::TaskGroup::Submit(std::function<void()> fn) {
 }
 
 void Scheduler::TaskGroup::Wait() {
+  // This wait's whole span replaces whatever its nested waits added, so
+  // an enclosing closure subtracts each waited microsecond once.
+  const uint64_t waited_before = tls_wait_us;
+  const uint64_t wait_start = NowUs();
   std::unique_lock<std::mutex> lock(state_->mu);
   while (state_->pending != 0) {
     if (state_->closures.empty()) {
@@ -301,6 +315,7 @@ void Scheduler::TaskGroup::Wait() {
     RunClosure(state_, /*stale_counter=*/nullptr, &scheduler_->morsels_);
     lock.lock();
   }
+  tls_wait_us = waited_before + (NowUs() - wait_start);
   if (metrics_ != nullptr) {
     metrics_->stall_us.fetch_add(state_->stall_us, std::memory_order_relaxed);
     metrics_->busy_us.fetch_add(state_->busy_us, std::memory_order_relaxed);

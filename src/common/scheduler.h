@@ -94,7 +94,10 @@ struct SchedulerStats {
 /// the enclosing wall span (like CPU-seconds).
 struct SchedGroupMetrics {
   std::atomic<uint64_t> stall_us{0};
-  std::atomic<uint64_t> busy_us{0};   ///< summed closure run time
+  /// Summed closure run time, less what each closure spent in its own
+  /// nested TaskGroup::Wait calls (the closures it helped there count
+  /// in their own groups), so it never exceeds wall time x threads.
+  std::atomic<uint64_t> busy_us{0};
   std::atomic<uint64_t> morsels{0};
 };
 

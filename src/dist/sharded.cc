@@ -138,21 +138,9 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
           ti, [&](const mr::Shuffle::KeyEntry& e, const uint64_t* key_words,
                   const mr::Message* msgs, const uint64_t* payload_arena) {
             const size_t p = mr::Shuffle::PartitionIndex(e.fingerprint, r);
-            FrameWriter& w = writers[p % static_cast<size_t>(S)];
-            w.U32(static_cast<uint32_t>(ti));
-            w.U32(e.key_arity);
-            w.U64(e.fingerprint);
-            w.F64(e.wire_bytes);
-            w.U32(e.msg_count);
-            w.Words(key_words, e.key_arity);
-            for (uint32_t mi = 0; mi < e.msg_count; ++mi) {
-              const mr::Message& m = msgs[mi];
-              w.U32(m.tag);
-              w.U32(m.aux);
-              w.U32(m.payload_size);
-              w.F64(m.wire_bytes);
-              w.Words(m.payload_words(payload_arena), m.payload_size);
-            }
+            EncodeShuffleRecord(static_cast<uint32_t>(ti), e, key_words, msgs,
+                                payload_arena,
+                                &writers[p % static_cast<size_t>(S)]);
           });
     }
     for (int d = 0; d < S; ++d) {
@@ -173,49 +161,10 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   // the single-process shuffle's.
   {
     mr::Shuffle imported(exec->tasks().size(), job.pack_messages);
-    std::vector<uint64_t> key_scratch;
-    std::vector<uint64_t> payload_scratch;
-    std::vector<uint64_t> word_tmp;
-    std::vector<mr::Shuffle::ImportMessage> msg_scratch;
-    std::vector<size_t> payload_offsets;
     for (int s = 0; s < S; ++s) {
       GUMBO_ASSIGN_OR_RETURN(Received f,
                              ExpectFrame(tp, me, s, FrameType::kShuffleChunk));
-      FrameReader& rd = f.body;
-      while (rd.remaining() > 0) {
-        uint32_t ti = 0;
-        uint32_t key_arity = 0;
-        uint64_t fingerprint = 0;
-        double wire_bytes = 0.0;
-        uint32_t msg_count = 0;
-        GUMBO_RETURN_IF_ERROR(rd.ReadU32(&ti));
-        GUMBO_RETURN_IF_ERROR(rd.ReadU32(&key_arity));
-        GUMBO_RETURN_IF_ERROR(rd.ReadU64(&fingerprint));
-        GUMBO_RETURN_IF_ERROR(rd.ReadF64(&wire_bytes));
-        GUMBO_RETURN_IF_ERROR(rd.ReadU32(&msg_count));
-        GUMBO_RETURN_IF_ERROR(rd.ReadWords(key_arity, &key_scratch));
-        msg_scratch.assign(msg_count, {});
-        payload_offsets.assign(msg_count, 0);
-        payload_scratch.clear();
-        for (uint32_t mi = 0; mi < msg_count; ++mi) {
-          mr::Shuffle::ImportMessage& im = msg_scratch[mi];
-          GUMBO_RETURN_IF_ERROR(rd.ReadU32(&im.tag));
-          GUMBO_RETURN_IF_ERROR(rd.ReadU32(&im.aux));
-          GUMBO_RETURN_IF_ERROR(rd.ReadU32(&im.payload_size));
-          GUMBO_RETURN_IF_ERROR(rd.ReadF64(&im.wire_bytes));
-          GUMBO_RETURN_IF_ERROR(rd.ReadWords(im.payload_size, &word_tmp));
-          payload_offsets[mi] = payload_scratch.size();
-          payload_scratch.insert(payload_scratch.end(), word_tmp.begin(),
-                                 word_tmp.end());
-        }
-        // Pointers resolved only once the scratch arena stopped growing.
-        for (uint32_t mi = 0; mi < msg_count; ++mi) {
-          msg_scratch[mi].payload = payload_scratch.data() + payload_offsets[mi];
-        }
-        GUMBO_RETURN_IF_ERROR(imported.ImportTaskRecord(
-            ti, key_scratch.data(), key_arity, fingerprint, wire_bytes,
-            msg_scratch.data(), msg_count));
-      }
+      GUMBO_RETURN_IF_ERROR(DecodeShuffleChunk(&f.body, &imported));
     }
     exec->shuffle() = std::move(imported);
   }
@@ -241,9 +190,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
         const mr::JobOutput& spec = job.outputs[oi];
         Relation frag(spec.dataset, spec.arity);
         frag.Adopt(std::move(builders[oi]));
-        w.U64(frag.size());
-        w.Words(frag.words().data(), frag.words().size());
-        w.Words(frag.fingerprints().data(), frag.fingerprints().size());
+        EncodeRows(frag, &w);
       }
     }
     // Not added to shuffle_sent_bytes: the coordinator counts epilogue
@@ -266,7 +213,6 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   struct RemoteFrag {
     std::vector<uint64_t> words;
     std::vector<uint64_t> fps;
-    uint64_t rows = 0;
   };
   // [p][oi]; only partitions owned by workers are filled.
   std::vector<std::vector<RemoteFrag>> remote(static_cast<size_t>(r));
@@ -289,10 +235,8 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
       frags.resize(num_outputs);
       for (size_t oi = 0; oi < num_outputs; ++oi) {
         RemoteFrag& f = frags[oi];
-        GUMBO_RETURN_IF_ERROR(frd.ReadU64(&f.rows));
-        GUMBO_RETURN_IF_ERROR(frd.ReadWords(
-            f.rows * job.outputs[oi].arity, &f.words));
-        GUMBO_RETURN_IF_ERROR(frd.ReadWords(f.rows, &f.fps));
+        GUMBO_RETURN_IF_ERROR(
+            DecodeRows(&frd, job.outputs[oi].arity, &f.words, &f.fps));
       }
     }
     GUMBO_ASSIGN_OR_RETURN(Received stats,
@@ -336,8 +280,9 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
       if (owned_red(p)) {
         out.Adopt(std::move(own[p][oi]));
       } else if (oi < remote[p].size()) {
-        const RemoteFrag& f = remote[p][oi];
-        out.AppendRaw(f.words.data(), f.fps.data(), f.rows);
+        // Moved, not copied, while `out` is still empty.
+        RemoteFrag& f = remote[p][oi];
+        out.AdoptRaw(std::move(f.words), std::move(f.fps));
       }
     }
     if (spec.dedupe) {
@@ -407,7 +352,11 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
                              static_cast<double>(S - 1) * kMbPerByte;
     r->stats.dist_cost =
         engine_->config().costs.transfer * r->stats.dist_wire_mb;
-    for (int s = 1; s < S; ++s) GUMBO_RETURN_IF_ERROR(tp->Send(0, s, frame));
+    // The last receiver takes the frame itself; the others get copies.
+    for (int s = 1; s < S; ++s) {
+      GUMBO_RETURN_IF_ERROR(
+          tp->Send(0, s, s == S - 1 ? std::move(frame) : frame));
+    }
     for (Relation& out : r->outputs) db->Put(std::move(out));
     return Status::Ok();
   };

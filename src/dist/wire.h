@@ -9,7 +9,11 @@
 //   src_shard  u32   sender's shard index
 //   aux        u32   frame-type specific (e.g. program job index)
 //   body_bytes u64   length of the body that follows
-//   checksum   u64   FNV-1a over the body bytes
+//   checksum   u64   WireChecksum over the body bytes
+//
+// Version 3 replaced the byte-at-a-time FNV-1a checksum of versions 1-2
+// with WireChecksum's four-lane word hash; the layout did not change, but
+// a v2 reader would reject every v3 checksum, so the version says so.
 //
 // The body is a flat little-endian byte stream written by FrameWriter
 // and read back by FrameReader with bounds-checked, memcpy-based
@@ -32,12 +36,13 @@
 
 #include "common/relation.h"
 #include "common/result.h"
+#include "mr/shuffle.h"
 #include "mr/stats.h"
 
 namespace gumbo::dist {
 
 inline constexpr uint32_t kWireMagic = 0x30424D47u;  // "GMB0" little-endian
-inline constexpr uint16_t kWireVersion = 2;
+inline constexpr uint16_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 32;
 
 /// Frame discriminators of the shard protocol (src/dist/sharded.cc).
@@ -52,12 +57,22 @@ enum class FrameType : uint16_t {
   kRelation = 8,        ///< standalone: one whole relation (worker output)
 };
 
-/// FNV-1a 64 over `size` bytes — the frame body checksum.
+/// The frame body checksum: a 64-bit hash read a word at a time. Whole
+/// 32-byte stripes feed four independent lanes (one 8-byte word each,
+/// multiply-rotate), so the lanes' multiplies overlap; the lanes are
+/// merged, then the remaining whole words, the remaining bytes and the
+/// length are folded in, and a final mix spreads every input bit over
+/// the result. Order-sensitive: swapping two words changes it.
 uint64_t WireChecksum(const uint8_t* data, size_t size);
 
 /// Appends typed values to a frame body, then seals it with a header.
+/// The header's 32 bytes are reserved at the front of the buffer from
+/// the start, so sealing writes them in place and hands the buffer out
+/// without copying the body.
 class FrameWriter {
  public:
+  FrameWriter() : buf_(kFrameHeaderBytes) {}
+
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
   void F64(double v) { Raw(&v, sizeof(v)); }
@@ -70,19 +85,20 @@ class FrameWriter {
   /// `n` flat 64-bit words, verbatim.
   void Words(const uint64_t* w, size_t n) { Raw(w, n * sizeof(uint64_t)); }
 
-  size_t body_bytes() const { return body_.size(); }
+  size_t body_bytes() const { return buf_.size() - kFrameHeaderBytes; }
 
-  /// Seals the body: returns header + body as one sendable frame and
-  /// leaves the writer empty for reuse.
+  /// Seals the body: writes the header into the reserved bytes, returns
+  /// header + body as one sendable frame (the writer's own buffer, moved
+  /// out) and leaves the writer empty for reuse.
   std::vector<uint8_t> Finish(FrameType type, uint32_t src_shard,
                               uint32_t aux = 0);
 
  private:
   void Raw(const void* p, size_t n) {
     const uint8_t* b = static_cast<const uint8_t*>(p);
-    body_.insert(body_.end(), b, b + n);
+    buf_.insert(buf_.end(), b, b + n);
   }
-  std::vector<uint8_t> body_;
+  std::vector<uint8_t> buf_;  ///< kFrameHeaderBytes reserved + the body
 };
 
 /// Validates a frame (magic, version, length, checksum) and reads the
@@ -107,6 +123,9 @@ class FrameReader {
   /// Reads `n` flat words into `out` (resized to exactly `n`); a body
   /// holding fewer fails before `out` is touched.
   Status ReadWords(size_t n, std::vector<uint64_t>* out);
+  /// Appends `n` flat words to `out`; a body holding fewer fails before
+  /// `out` is touched.
+  Status AppendWords(size_t n, std::vector<uint64_t>* out);
 
   /// Bytes of body not yet consumed.
   size_t remaining() const { return end_ - pos_; }
@@ -133,16 +152,46 @@ class FrameReader {
   const uint8_t* end_ = nullptr;
 };
 
+/// Encodes a relation's rows: the row count, then the word and
+/// fingerprint arenas verbatim (the tail of a relation body, and one
+/// output of a kOutputFragment partition).
+void EncodeRows(const Relation& rel, FrameWriter* w);
+
+/// Reads rows written by EncodeRows for a relation of `arity` into
+/// `*words` and `*fps`. A row count the body cannot hold is rejected
+/// before anything is sized by it, and so is a first row whose
+/// fingerprint does not match its words (the one row checked; the rest
+/// are adopted as sent).
+Status DecodeRows(FrameReader* r, uint32_t arity, std::vector<uint64_t>* words,
+                  std::vector<uint64_t>* fps);
+
 /// Encodes one whole relation — name, arity, size-accounting knobs, and
-/// the word + fingerprint arenas verbatim — as a kRelation body (the
-/// same layout kCommit and kOutputFragment embed per relation).
+/// its rows (EncodeRows) — as a kRelation body (the same layout kCommit
+/// embeds per relation).
 void EncodeRelationBody(const Relation& rel, FrameWriter* w);
 std::vector<uint8_t> EncodeRelationFrame(const Relation& rel,
                                          uint32_t src_shard);
 
 /// Decodes a relation encoded by EncodeRelationBody from `r`'s current
-/// position. Fingerprints are adopted verbatim (Relation::AppendRaw).
+/// position. The words and fingerprints are copied out of the frame once
+/// and the relation adopts those vectors (Relation::AdoptRaw):
+/// fingerprints verbatim, never re-hashed.
 Result<Relation> DecodeRelationBody(FrameReader* r);
+
+/// Appends one record of map task `task`, as mr::Shuffle::ForEachTaskRecord
+/// hands it out, to a kShuffleChunk body: the task index, key arity,
+/// cached fingerprint, wire-byte accounting and message count, the key
+/// words, then per message its tag, aux, payload size, wire bytes and
+/// payload words — all verbatim.
+void EncodeShuffleRecord(uint32_t task, const mr::Shuffle::KeyEntry& e,
+                         const uint64_t* key_words, const mr::Message* msgs,
+                         const uint64_t* payload_arena, FrameWriter* w);
+
+/// Imports every record of a kShuffleChunk body into `*into`
+/// (mr::Shuffle::ImportTaskRecord) in body order. A truncated record is a
+/// ParseError and a record naming a task `*into` lacks is an Internal
+/// error; records before it are already imported.
+Status DecodeShuffleChunk(FrameReader* r, mr::Shuffle* into);
 
 /// Encodes a worker's share of a job's accounting as a kJobStats body:
 /// every kSum row of the mr::GUMBO_JOB_COUNTERS table in table order,

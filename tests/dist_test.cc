@@ -7,11 +7,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -320,6 +323,66 @@ TEST(WireTest, JobStatsRejectsTruncatedAndTrailingBodies) {
             StatusCode::kParseError);
 }
 
+// A frame whose body is `len` distinct-pattern bytes, correctly sealed.
+std::vector<uint8_t> PatternFrame(size_t len) {
+  std::vector<uint8_t> frame =
+      Reseal(FrameWriter().Finish(FrameType::kRelation, 0), len);
+  for (size_t i = 0; i < len; ++i) {
+    frame[kFrameHeaderBytes + i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  return Reseal(std::move(frame), len);
+}
+
+void ExpectRejected(const std::vector<uint8_t>& frame) {
+  auto r = FrameReader::Parse(frame);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+}
+
+// Body lengths 0..80 run the checksum's four-lane stripes (two whole
+// 32-byte stripes at most), its word tail and its byte tail. Every single
+// flipped bit and every swap of two distinct 8-byte words is caught.
+TEST(WireTest, ChecksumRejectsEveryBitFlipAndWordSwap) {
+  for (size_t len = 0; len <= 80; ++len) {
+    SCOPED_TRACE("body length " + std::to_string(len));
+    const std::vector<uint8_t> frame = PatternFrame(len);
+    ASSERT_OK(FrameReader::Parse(frame));
+    for (size_t bit = 0; bit < 8 * len; ++bit) {
+      std::vector<uint8_t> t = frame;
+      t[kFrameHeaderBytes + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ExpectRejected(t);
+    }
+    for (size_t a = 0; a + 16 <= len; a += 8) {
+      for (size_t b = a + 8; b + 8 <= len; b += 8) {
+        std::vector<uint8_t> t = frame;
+        std::swap_ranges(t.begin() + kFrameHeaderBytes + a,
+                         t.begin() + kFrameHeaderBytes + a + 8,
+                         t.begin() + kFrameHeaderBytes + b);
+        ExpectRejected(t);
+      }
+    }
+  }
+}
+
+// A frame from a version-2 build — FNV-1a 64 checksum, otherwise the same
+// header — is refused for its version, even though it is intact.
+TEST(WireTest, RejectsSealedVersionTwoFrame) {
+  std::vector<uint8_t> frame =
+      EncodeRelationFrame(MakeRelation("r", 2, {{1, 2}, {3, -4}}), 0);
+  uint64_t fnv = 0xcbf29ce484222325ull;
+  for (size_t i = kFrameHeaderBytes; i < frame.size(); ++i) {
+    fnv = (fnv ^ frame[i]) * 0x100000001b3ull;
+  }
+  const uint16_t version = 2;
+  std::memcpy(frame.data() + 4, &version, sizeof(version));
+  std::memcpy(frame.data() + 24, &fnv, sizeof(fnv));
+  auto r = FrameReader::Parse(frame);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().ToString().find("version 2"), std::string::npos)
+      << r.status();
+}
+
 // ---- Shuffle export / import ------------------------------------------------
 
 // One exported record, flattened for comparison.
@@ -363,52 +426,178 @@ std::vector<FlatRecord> FlattenTask(const mr::Shuffle& sh, size_t ti) {
 // (the sharded runtime's exchange path, minus the transport) must
 // reproduce keys, fingerprints, payloads — including heap-spilled ones —
 // and wire accounting verbatim.
+// Two map tasks' records: a spilled payload, a packed pair, an inline
+// payload, and a key shared across tasks.
+mr::Shuffle TwoTaskShuffle(bool pack) {
+  mr::Shuffle src(/*num_map_tasks=*/2, pack);
+  {
+    mr::MapOutputBuffer buf;
+    Tuple spilled;  // 3 values > Message::kInlinePayloadValues -> arena
+    spilled.PushBack(Value::Int(-7));
+    spilled.PushBack(Value::Int(1ull << 40));
+    spilled.PushBack(Dictionary::Global().Intern("spill"));
+    buf.Emit(Tuple{Value::Int(5)}, /*tag=*/1, /*aux=*/0, spilled, 34.0);
+    buf.Emit(Tuple{Value::Int(5)}, /*tag=*/0, /*aux=*/3, 14.0);  // packed pair
+    buf.Emit(Tuple{Value::Int(-5)}, /*tag=*/2, /*aux=*/1,
+             Tuple{Value::Int(9)}, 24.0);  // inline payload
+    EXPECT_OK(src.AddTaskOutput(0, std::move(buf)));
+  }
+  {
+    mr::MapOutputBuffer buf;
+    buf.Emit(Tuple{Value::Int(5)}, /*tag=*/0, /*aux=*/7, 14.0);
+    EXPECT_OK(src.AddTaskOutput(1, std::move(buf)));
+  }
+  return src;
+}
+
+// Every record of `sh`, task by task, as one kShuffleChunk frame.
+std::vector<uint8_t> ShuffleChunkFrame(const mr::Shuffle& sh, size_t tasks) {
+  FrameWriter w;
+  for (size_t ti = 0; ti < tasks; ++ti) {
+    sh.ForEachTaskRecord(
+        ti, [&](const mr::Shuffle::KeyEntry& e, const uint64_t* key_words,
+                const mr::Message* msgs, const uint64_t* payload_arena) {
+          EncodeShuffleRecord(static_cast<uint32_t>(ti), e, key_words, msgs,
+                              payload_arena, &w);
+        });
+  }
+  return w.Finish(FrameType::kShuffleChunk, /*src_shard=*/1);
+}
+
+// Exporting every record of one shuffle into a kShuffleChunk frame and
+// importing the frame into a fresh shuffle (the sharded runtime's
+// exchange path, minus the transport) must reproduce keys, fingerprints,
+// payloads — including heap-spilled ones — and wire accounting verbatim.
 TEST(ShuffleWireTest, ExportImportRoundTripsRecords) {
   for (const bool pack : {true, false}) {
     SCOPED_TRACE(pack ? "packed" : "unpacked");
-    mr::Shuffle src(/*num_map_tasks=*/2, pack);
-    {
-      mr::MapOutputBuffer buf;
-      Tuple spilled;  // 3 values > Message::kInlinePayloadValues -> arena
-      spilled.PushBack(Value::Int(-7));
-      spilled.PushBack(Value::Int(1ull << 40));
-      spilled.PushBack(Dictionary::Global().Intern("spill"));
-      buf.Emit(Tuple{Value::Int(5)}, /*tag=*/1, /*aux=*/0, spilled, 34.0);
-      buf.Emit(Tuple{Value::Int(5)}, /*tag=*/0, /*aux=*/3, 14.0);  // packed pair
-      buf.Emit(Tuple{Value::Int(-5)}, /*tag=*/2, /*aux=*/1,
-               Tuple{Value::Int(9)}, 24.0);  // inline payload
-      ASSERT_OK(src.AddTaskOutput(0, std::move(buf)));
-    }
-    {
-      mr::MapOutputBuffer buf;
-      buf.Emit(Tuple{Value::Int(5)}, /*tag=*/0, /*aux=*/7, 14.0);
-      ASSERT_OK(src.AddTaskOutput(1, std::move(buf)));
-    }
-
+    const mr::Shuffle src = TwoTaskShuffle(pack);
+    const std::vector<uint8_t> frame = ShuffleChunkFrame(src, 2);
+    auto rd = FrameReader::Parse(frame);
+    ASSERT_OK(rd);
     mr::Shuffle dst(/*num_map_tasks=*/2, pack);
-    for (size_t ti = 0; ti < 2; ++ti) {
-      src.ForEachTaskRecord(
-          ti, [&](const mr::Shuffle::KeyEntry& e, const uint64_t* key_words,
-                  const mr::Message* msgs, const uint64_t* payload_arena) {
-            std::vector<mr::Shuffle::ImportMessage> im(e.msg_count);
-            for (uint32_t i = 0; i < e.msg_count; ++i) {
-              im[i].tag = msgs[i].tag;
-              im[i].aux = msgs[i].aux;
-              im[i].payload_size = msgs[i].payload_size;
-              im[i].wire_bytes = msgs[i].wire_bytes;
-              im[i].payload = msgs[i].payload_words(payload_arena);
-            }
-            ASSERT_OK(dst.ImportTaskRecord(ti, key_words, e.key_arity,
-                                           e.fingerprint, e.wire_bytes,
-                                           im.data(), im.size()));
-          });
-    }
+    ASSERT_OK(DecodeShuffleChunk(&*rd, &dst));
 
     for (size_t ti = 0; ti < 2; ++ti) {
       EXPECT_EQ(FlattenTask(src, ti), FlattenTask(dst, ti))
           << "task " << ti;
     }
   }
+}
+
+// ---- Decoder fuzzing ---------------------------------------------------------
+
+// Seeded byte mutations of valid frames: flips, truncations, extensions,
+// and huge count fields, resealed so that the body decoders see them.
+// Each must end in a typed Status or a well-formed decode — never a
+// crash, an over-read, or an allocation sized by garbage (run under
+// ASan and UBSan in CI).
+TEST(WireFuzzTest, MutatedFramesDecodeOrFailTyped) {
+  enum Kind { kRelationBody, kJobStatsBody, kShuffleBody, kErrorBody };
+  Relation rel("fuzz", 3);
+  for (int64_t i = 0; i < 6; ++i) {
+    ASSERT_OK(rel.Add(Tuple{Value::Int(i), Value::Int(-i),
+                            Dictionary::Global().Intern("fz")}));
+  }
+  const std::vector<std::pair<Kind, std::vector<uint8_t>>> seeds = {
+      {kRelationBody, EncodeRelationFrame(rel, 0)},
+      {kJobStatsBody, JobStatsFrame(DistinctShare())},
+      {kShuffleBody, ShuffleChunkFrame(TwoTaskShuffle(true), 2)},
+      {kErrorBody, EncodeErrorFrame(Status::Internal("boom"), 0)},
+  };
+  constexpr uint64_t kHuge[] = {0xFFFFFFFFull, 0x80000000ull,
+                                uint64_t{1} << 40, uint64_t{1} << 62,
+                                ~uint64_t{0}};
+
+  std::mt19937_64 rng(0x5EED5EEDull);
+  auto below = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  size_t decoded = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const auto& [kind, seed] = seeds[below(seeds.size())];
+    std::vector<uint8_t> frame = seed;
+    size_t body = frame.size() - kFrameHeaderBytes;
+    const int mutations = 1 + static_cast<int>(below(3));
+    for (int m = 0; m < mutations; ++m) {
+      switch (below(4)) {
+        case 0:  // flip one bit
+          if (body > 0) {
+            frame[kFrameHeaderBytes + below(body)] ^=
+                static_cast<uint8_t>(1u << below(8));
+          }
+          break;
+        case 1:  // truncate
+          body = below(body + 1);
+          break;
+        case 2:  // extend with random bytes
+          for (size_t n = 1 + below(24); n > 0; --n) {
+            frame.push_back(static_cast<uint8_t>(rng()));
+          }
+          body = frame.size() - kFrameHeaderBytes;
+          break;
+        default:  // a huge 4- or 8-byte count at any offset
+          if (body > 0) {
+            const size_t width = below(2) == 0 ? 4 : 8;
+            const size_t at = below(body);
+            const uint64_t v = kHuge[below(std::size(kHuge))];
+            std::memcpy(frame.data() + kFrameHeaderBytes + at, &v,
+                        std::min(width, body - at));
+          }
+          break;
+      }
+      frame.resize(kFrameHeaderBytes + body);
+    }
+    frame = Reseal(std::move(frame), body);
+    auto rd = FrameReader::Parse(frame);
+    ASSERT_OK(rd) << "iteration " << iter;
+    Status s;
+    switch (kind) {
+      case kRelationBody: {
+        auto got = DecodeRelationBody(&*rd);
+        if (got.ok()) {
+          EXPECT_EQ(got->words().size(), got->size() * got->arity());
+        }
+        s = got.status();
+        break;
+      }
+      case kJobStatsBody: {
+        mr::JobStats into = ZeroShaped(DistinctShare());
+        double received_mb = 0.0;
+        double sent_bytes = 0.0;
+        s = MergeJobStatsBody(&*rd, &into, &received_mb, &sent_bytes);
+        break;
+      }
+      case kShuffleBody: {
+        mr::Shuffle into(/*num_map_tasks=*/2, /*pack_messages=*/true);
+        s = DecodeShuffleChunk(&*rd, &into);
+        if (s.ok()) {
+          EXPECT_EQ(rd->remaining(), 0u);
+        }
+        break;
+      }
+      case kErrorBody: {
+        // A decoded error frame carries any known code; only a malformed
+        // body may come back as ParseError.
+        const Status carried = DecodeErrorBody(&*rd);
+        EXPECT_LE(static_cast<int>(carried.code()),
+                  static_cast<int>(StatusCode::kUnavailable));
+        s = carried.code() == StatusCode::kParseError ? carried : Status::Ok();
+        break;
+      }
+    }
+    if (s.ok()) {
+      ++decoded;
+    } else {
+      ++rejected;
+      EXPECT_TRUE(s.code() == StatusCode::kParseError ||
+                  s.code() == StatusCode::kInternal)
+          << "iteration " << iter << ": " << s;
+    }
+  }
+  // Both outcomes happen: the mutations are neither all fatal nor all
+  // harmless.
+  EXPECT_GT(decoded, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 // ---- Transports -------------------------------------------------------------

@@ -357,6 +357,47 @@ TEST(SchedulerTest, GroupMetricsReportStallTime) {
   EXPECT_GE(metrics.stall_us.load(), 5000u);  // >= 5ms of the ~20ms gate
 }
 
+// Busy time counts each closure once: an outer closure that waits on an
+// inner group does not also count the inner closures it helped run, nor
+// its blocked waiting, so busy time summed over both groups fits in the
+// wall span times the threads that can run closures (the workers plus
+// the waiting caller).
+TEST(SchedulerTest, NestedWaitIsNotCountedAsBusyTwice) {
+  constexpr size_t kWorkers = 1;
+  Scheduler scheduler(kWorkers);
+  SchedGroupMetrics metrics;
+  SchedContext ctx;
+  ctx.scheduler = &scheduler;
+  ctx.metrics = &metrics;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    Scheduler::TaskGroup outer(ctx);
+    for (int i = 0; i < 2; ++i) {
+      outer.Submit([&ctx] {
+        Scheduler::TaskGroup inner(ctx);
+        for (int j = 0; j < 4; ++j) {
+          inner.Submit([] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          });
+        }
+        inner.Wait();
+      });
+    }
+    outer.Wait();
+  }
+  const uint64_t wall_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  EXPECT_EQ(metrics.morsels.load(), 10u);
+  // The inner sleeps alone are 80 ms of busy time.
+  EXPECT_GE(metrics.busy_us.load(), 80000u);
+  // Closure and wait spans are read on a microsecond clock, so each
+  // closure's busy time may round up by up to two microseconds.
+  EXPECT_LE(metrics.busy_us.load(),
+            (wall_us + 1) * (kWorkers + 1) + 2 * metrics.morsels.load());
+}
+
 TEST(SchedOptionsTest, FromEnvParsesKnobs) {
   // The environment is parsed into common::RuntimeConfig exactly once
   // per process; tests inject configurations with ScopedOverride instead
