@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/config.h"
 #include "common/str_util.h"
@@ -19,11 +20,11 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-BenchOptions BenchOptions::FromEnv() {
-  const common::RuntimeConfig& cfg = common::RuntimeConfig::Get();
+BenchOptions BenchOptions::FromEnv(size_t default_tuples) {
   BenchOptions o;
-  o.tuples = cfg.bench_tuples.value_or(o.tuples);
-  o.seed = cfg.bench_seed.value_or(o.seed);
+  o.tuples = common::ParseCount(std::getenv("GUMBO_BENCH_TUPLES"))
+                 .value_or(default_tuples);
+  o.seed = common::ParseU64(std::getenv("GUMBO_BENCH_SEED")).value_or(o.seed);
   return o;
 }
 

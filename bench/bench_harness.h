@@ -3,8 +3,9 @@
 // formatting. Each bench binary regenerates one table/figure of the
 // paper's §5 as console output (see EXPERIMENTS.md for the mapping).
 //
-// Environment knobs:
-//   GUMBO_BENCH_TUPLES     — materialized tuples per relation (default 100000)
+// Environment knobs (parsed with the common/config.h parsers):
+//   GUMBO_BENCH_TUPLES     — materialized tuples per relation (> 0;
+//                            default 100000 unless the bench passes its own)
 //   GUMBO_BENCH_SEED       — generator seed (default 42)
 //
 // Relations always *represent* the paper's sizes (100M tuples, 4 GB
@@ -26,7 +27,8 @@
 namespace gumbo::bench {
 
 struct BenchOptions {
-  size_t tuples = 100000;
+  static constexpr size_t kDefaultTuples = 100000;
+  size_t tuples = kDefaultTuples;
   uint64_t seed = 42;
   double selectivity = 0.5;
   /// Tuples each relation represents (the paper's 100M by default).
@@ -43,8 +45,9 @@ struct BenchOptions {
     return g;
   }
 
-  /// Reads GUMBO_BENCH_* environment overrides.
-  static BenchOptions FromEnv();
+  /// Reads GUMBO_BENCH_TUPLES (unset = `default_tuples`) and
+  /// GUMBO_BENCH_SEED.
+  static BenchOptions FromEnv(size_t default_tuples = kDefaultTuples);
 };
 
 struct CellResult {

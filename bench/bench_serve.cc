@@ -65,7 +65,6 @@
 #include <vector>
 
 #include "bench_harness.h"
-#include "common/config.h"
 #include "common/str_util.h"
 #include "serve/service.h"
 
@@ -344,10 +343,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  BenchOptions options = BenchOptions::FromEnv();
-  if (!common::RuntimeConfig::Get().bench_tuples.has_value()) {
-    options.tuples = 5000;  // serving-shaped default (see header comment)
-  }
+  // Serving-shaped default tuple count (see header comment).
+  BenchOptions options = BenchOptions::FromEnv(/*default_tuples=*/5000);
   const size_t kClients = 8;
   const size_t per_client = 12;  // same shape with/without --smoke
 

@@ -473,7 +473,7 @@ int main(int argc, char** argv) {
       flat_records = RunFlat(*streams, &flat_sum);
     });
 
-    if (common::RuntimeConfig::Get().bench_phases.value_or(false)) {
+    if (common::ParseFlag(std::getenv("GUMBO_BENCH_PHASES")).value_or(false)) {
       Phases lp, fp;
       Checksum dummy;
       RunLegacy(*streams, &dummy, &lp);

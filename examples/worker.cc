@@ -23,7 +23,6 @@
 #include <string>
 
 #include "data/workloads.h"
-#include "dist/cluster.h"
 #include "dist/sharded.h"
 #include "dist/transport.h"
 #include "dist/wire.h"

@@ -1,53 +1,26 @@
 #include "common/config.h"
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <string_view>
+#include <cstring>
+#include <type_traits>
 
 namespace gumbo::common {
 
 namespace {
 
-// Parse helpers. Each mirrors the historical per-site semantics exactly:
-// a value the old call site would have ignored leaves the knob unset.
-
-// Unsigned integer, any trailing garbage tolerated (strtoull semantics
-// the scheduler/bench knobs always had).
-std::optional<uint64_t> U64Prefix(const char* v) {
+// The whole of `v` as a T, or nullopt. from_chars accepts no leading
+// whitespace and no '+', and no '-' for unsigned T.
+template <typename T>
+std::optional<T> ParseWhole(const char* v) {
   if (v == nullptr) return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v) return std::nullopt;
-  return static_cast<uint64_t>(parsed);
-}
-
-// Unsigned integer, full-string strict (the soak harness's EnvU64).
-std::optional<uint64_t> U64Strict(const char* v) {
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return static_cast<uint64_t>(parsed);
-}
-
-// Boolean flag: empty or missing = unset, "0" = false, anything else =
-// true (the GUMBO_DISABLE_* convention).
-std::optional<bool> Flag(const char* v) {
-  if (v == nullptr || v[0] == '\0') return std::nullopt;
-  return std::string_view(v) != "0";
-}
-
-std::optional<double> PositiveF64(const char* v) {
-  if (v == nullptr) return std::nullopt;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || parsed <= 0.0) return std::nullopt;
+  const char* end = v + std::strlen(v);
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(v, end, parsed);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
   return parsed;
-}
-
-std::optional<std::string> NonEmptyStr(const char* v) {
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  return std::string(v);
 }
 
 // The innermost test override; null = use the env-parsed config.
@@ -58,11 +31,8 @@ void DescribeKnob(std::string* out, const char* name,
                   const std::optional<T>& v) {
   *out += "  ";
   *out += name;
-  size_t pad = 26;
-  for (const char* c = name; *c != '\0'; ++c) {
-    if (pad > 0) --pad;
-  }
-  out->append(pad, ' ');
+  const size_t len = std::strlen(name);
+  out->append(len < 26 ? 26 - len : 0, ' ');
   *out += "= ";
   if (!v.has_value()) {
     *out += "(unset)";
@@ -70,65 +40,48 @@ void DescribeKnob(std::string* out, const char* name,
     *out += *v;
   } else if constexpr (std::is_same_v<T, bool>) {
     *out += *v ? "1" : "0";
-  } else if constexpr (std::is_same_v<T, double>) {
-    *out += std::to_string(*v);
   } else {
-    *out += std::to_string(static_cast<unsigned long long>(*v));
+    *out += std::to_string(*v);
   }
   *out += "\n";
 }
 
 }  // namespace
 
+std::optional<size_t> ParseCount(const char* v) {
+  const std::optional<size_t> n = ParseWhole<size_t>(v);
+  if (n == size_t{0}) return std::nullopt;
+  return n;
+}
+
+std::optional<uint64_t> ParseU64(const char* v) {
+  return ParseWhole<uint64_t>(v);
+}
+
+std::optional<bool> ParseFlag(const char* v) {
+  if (v == nullptr || (v[0] != '0' && v[0] != '1') || v[1] != '\0') {
+    return std::nullopt;
+  }
+  return v[0] == '1';
+}
+
+std::optional<double> ParseRate(const char* v) {
+  const std::optional<double> r = ParseWhole<double>(v);
+  if (r && !(std::isfinite(*r) && *r > 0.0)) return std::nullopt;
+  return r;
+}
+
+std::optional<std::string> ParseString(const char* v) {
+  if (v == nullptr || *v == '\0') return std::nullopt;
+  return std::string(v);
+}
+
 RuntimeConfig RuntimeConfig::FromEnv() {
   RuntimeConfig c;
-  // Scheduler: GUMBO_MORSEL_ROWS and GUMBO_SCHED_WORKERS require > 0;
-  // GUMBO_MAX_TASK_RETRIES accepts 0 (retries off).
-  if (auto v = U64Prefix(std::getenv("GUMBO_MORSEL_ROWS")); v && *v > 0) {
-    c.morsel_rows = static_cast<size_t>(*v);
-  }
-  c.disable_stealing = Flag(std::getenv("GUMBO_DISABLE_STEALING"));
-  if (auto v = U64Prefix(std::getenv("GUMBO_MAX_TASK_RETRIES"))) {
-    c.max_task_retries = static_cast<uint32_t>(*v);
-  }
-  if (auto v = U64Prefix(std::getenv("GUMBO_SCHED_WORKERS")); v && *v > 0) {
-    c.sched_workers = static_cast<size_t>(*v);
-  }
-
-  c.disable_combiners = Flag(std::getenv("GUMBO_DISABLE_COMBINERS"));
-  c.disable_filters = Flag(std::getenv("GUMBO_DISABLE_FILTERS"));
-
-  c.fault_seed = U64Prefix(std::getenv("GUMBO_FAULT_SEED"));
-  c.fault_rate = PositiveF64(std::getenv("GUMBO_FAULT_RATE"));
-  c.fault_sites = NonEmptyStr(std::getenv("GUMBO_FAULT_SITES"));
-
-  c.disable_delta = Flag(std::getenv("GUMBO_DISABLE_DELTA"));
-  // Historical atoll semantics: the variable being set is the signal,
-  // however mangled its value.
-  if (const char* v = std::getenv("GUMBO_RESULT_CACHE_CAP")) {
-    c.result_cache_cap = static_cast<size_t>(std::atoll(v));
-  }
-
-  if (auto v = U64Prefix(std::getenv("GUMBO_SHARDS")); v && *v > 0) {
-    c.shards = static_cast<int>(*v);
-  }
-  c.transport = NonEmptyStr(std::getenv("GUMBO_TRANSPORT"));
-  c.dist_dir = NonEmptyStr(std::getenv("GUMBO_DIST_DIR"));
-
-  c.soak_seed = U64Strict(std::getenv("GUMBO_SOAK_SEED"));
-  c.soak_iters = U64Strict(std::getenv("GUMBO_SOAK_ITERS"));
-  c.soak_tuples = U64Strict(std::getenv("GUMBO_SOAK_TUPLES"));
-  c.soak_mutate = U64Strict(std::getenv("GUMBO_SOAK_MUTATE"));
-
-  if (const char* v = std::getenv("GUMBO_BENCH_TUPLES")) {
-    const size_t t = static_cast<size_t>(std::strtoull(v, nullptr, 10));
-    c.bench_tuples = t < 100 ? 100 : t;
-  }
-  if (const char* v = std::getenv("GUMBO_BENCH_SEED")) {
-    c.bench_seed = std::strtoull(v, nullptr, 10);
-  }
-  // Presence alone enables phase output (even "0" did historically).
-  if (std::getenv("GUMBO_BENCH_PHASES") != nullptr) c.bench_phases = true;
+#define GUMBO_KNOB_PARSE(env, field, parser) \
+  c.field = parser(std::getenv(#env));
+  GUMBO_RUNTIME_KNOBS(GUMBO_KNOB_PARSE)
+#undef GUMBO_KNOB_PARSE
   return c;
 }
 
@@ -142,27 +95,10 @@ const RuntimeConfig& RuntimeConfig::Get() {
 
 std::string RuntimeConfig::Describe() const {
   std::string s = "runtime config (GUMBO_* environment overrides):\n";
-  DescribeKnob(&s, "GUMBO_MORSEL_ROWS", morsel_rows);
-  DescribeKnob(&s, "GUMBO_DISABLE_STEALING", disable_stealing);
-  DescribeKnob(&s, "GUMBO_MAX_TASK_RETRIES", max_task_retries);
-  DescribeKnob(&s, "GUMBO_SCHED_WORKERS", sched_workers);
-  DescribeKnob(&s, "GUMBO_DISABLE_COMBINERS", disable_combiners);
-  DescribeKnob(&s, "GUMBO_DISABLE_FILTERS", disable_filters);
-  DescribeKnob(&s, "GUMBO_FAULT_SEED", fault_seed);
-  DescribeKnob(&s, "GUMBO_FAULT_RATE", fault_rate);
-  DescribeKnob(&s, "GUMBO_FAULT_SITES", fault_sites);
-  DescribeKnob(&s, "GUMBO_DISABLE_DELTA", disable_delta);
-  DescribeKnob(&s, "GUMBO_RESULT_CACHE_CAP", result_cache_cap);
-  DescribeKnob(&s, "GUMBO_SHARDS", shards);
-  DescribeKnob(&s, "GUMBO_TRANSPORT", transport);
-  DescribeKnob(&s, "GUMBO_DIST_DIR", dist_dir);
-  DescribeKnob(&s, "GUMBO_SOAK_SEED", soak_seed);
-  DescribeKnob(&s, "GUMBO_SOAK_ITERS", soak_iters);
-  DescribeKnob(&s, "GUMBO_SOAK_TUPLES", soak_tuples);
-  DescribeKnob(&s, "GUMBO_SOAK_MUTATE", soak_mutate);
-  DescribeKnob(&s, "GUMBO_BENCH_TUPLES", bench_tuples);
-  DescribeKnob(&s, "GUMBO_BENCH_SEED", bench_seed);
-  DescribeKnob(&s, "GUMBO_BENCH_PHASES", bench_phases);
+#define GUMBO_KNOB_DESCRIBE(env, field, parser) \
+  DescribeKnob(&s, #env, field);
+  GUMBO_RUNTIME_KNOBS(GUMBO_KNOB_DESCRIBE)
+#undef GUMBO_KNOB_DESCRIBE
   return s;
 }
 

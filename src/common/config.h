@@ -1,6 +1,6 @@
-// RuntimeConfig: every GUMBO_* environment knob, parsed once in one
-// place instead of scattered getenv calls across scheduler, fault
-// injector, operator options, serve layer, soak harness, and benches.
+// RuntimeConfig: the GUMBO_* environment knobs the library reads, parsed
+// once in one place instead of scattered getenv calls across scheduler,
+// fault injector, operator options and serve layer.
 //
 // The contract is *layering*, not competition: programmatic options keep
 // their struct defaults, and each knob here is a std::optional that is
@@ -10,6 +10,9 @@
 // configuration injectable: tests install a ScopedOverride instead of
 // mutating the process environment, and `--help` / `\stats` surfaces can
 // print Describe() so a running binary can show which knobs are live.
+//
+// Each knob is one row of GUMBO_RUNTIME_KNOBS, which generates the
+// fields, FromEnv and Describe.
 #ifndef GUMBO_COMMON_CONFIG_H_
 #define GUMBO_COMMON_CONFIG_H_
 
@@ -21,44 +24,43 @@
 
 namespace gumbo::common {
 
+// One strict parser per knob type, also used by the bench and soak
+// harnesses for their own GUMBO_BENCH_* / GUMBO_SOAK_* knobs. A value is
+// read whole or not at all: a missing or empty value, trailing garbage,
+// a sign, an out-of-range number, or a value outside the type's domain
+// parses to nullopt, which leaves the knob unset.
+std::optional<size_t> ParseCount(const char* v);        ///< decimal > 0
+std::optional<uint64_t> ParseU64(const char* v);        ///< decimal >= 0
+std::optional<bool> ParseFlag(const char* v);           ///< "1" or "0"
+std::optional<double> ParseRate(const char* v);         ///< finite > 0
+std::optional<std::string> ParseString(const char* v);  ///< non-empty
+
+// X(env name, field, parser): one row per knob, in Describe() order.
+#define GUMBO_RUNTIME_KNOBS(X)                                   \
+  /* Morsel scheduler (DESIGN.md §9) */                          \
+  X(GUMBO_MORSEL_ROWS, morsel_rows, ParseCount)                  \
+  X(GUMBO_MAX_TASK_RETRIES, max_task_retries, ParseU64)          \
+  X(GUMBO_SCHED_WORKERS, sched_workers, ParseCount)              \
+  /* Operator ablations (DESIGN.md §5) */                        \
+  X(GUMBO_DISABLE_COMBINERS, disable_combiners, ParseFlag)       \
+  X(GUMBO_DISABLE_FILTERS, disable_filters, ParseFlag)           \
+  /* Fault injection (DESIGN.md §11) */                          \
+  X(GUMBO_FAULT_SEED, fault_seed, ParseU64)                      \
+  X(GUMBO_FAULT_RATE, fault_rate, ParseRate)                     \
+  X(GUMBO_FAULT_SITES, fault_sites, ParseString)                 \
+  /* Serve layer (DESIGN.md §12) */                              \
+  X(GUMBO_DISABLE_DELTA, disable_delta, ParseFlag)               \
+  X(GUMBO_RESULT_CACHE_CAP, result_cache_cap, ParseU64)          \
+  /* Distribution: worker shards per execution (DESIGN.md §13) */ \
+  X(GUMBO_SHARDS, shards, ParseCount)
+
 struct RuntimeConfig {
-  // ---- Morsel scheduler (DESIGN.md §9) ----
-  std::optional<size_t> morsel_rows;         ///< GUMBO_MORSEL_ROWS (> 0)
-  std::optional<bool> disable_stealing;      ///< GUMBO_DISABLE_STEALING
-  std::optional<uint32_t> max_task_retries;  ///< GUMBO_MAX_TASK_RETRIES
-  std::optional<size_t> sched_workers;       ///< GUMBO_SCHED_WORKERS (> 0)
-
-  // ---- Operator ablations (DESIGN.md §5.4) ----
-  std::optional<bool> disable_combiners;  ///< GUMBO_DISABLE_COMBINERS
-  std::optional<bool> disable_filters;    ///< GUMBO_DISABLE_FILTERS
-
-  // ---- Fault injection (DESIGN.md §11) ----
-  std::optional<uint64_t> fault_seed;    ///< GUMBO_FAULT_SEED
-  std::optional<double> fault_rate;      ///< GUMBO_FAULT_RATE (> 0)
-  std::optional<std::string> fault_sites;  ///< GUMBO_FAULT_SITES (site list)
-
-  // ---- Serve layer (DESIGN.md §12) ----
-  std::optional<bool> disable_delta;        ///< GUMBO_DISABLE_DELTA
-  std::optional<size_t> result_cache_cap;   ///< GUMBO_RESULT_CACHE_CAP
-
-  // ---- Distribution (DESIGN.md §13) ----
-  std::optional<int> shards;             ///< GUMBO_SHARDS (> 0 worker shards)
-  std::optional<std::string> transport;  ///< GUMBO_TRANSPORT (inproc | mmap)
-  std::optional<std::string> dist_dir;   ///< GUMBO_DIST_DIR (mmap mailbox)
-
-  // ---- Soak harness ----
-  std::optional<uint64_t> soak_seed;    ///< GUMBO_SOAK_SEED
-  std::optional<uint64_t> soak_iters;   ///< GUMBO_SOAK_ITERS
-  std::optional<uint64_t> soak_tuples;  ///< GUMBO_SOAK_TUPLES
-  std::optional<uint64_t> soak_mutate;  ///< GUMBO_SOAK_MUTATE (0/1)
-
-  // ---- Benchmarks ----
-  std::optional<size_t> bench_tuples;     ///< GUMBO_BENCH_TUPLES (>= 100)
-  std::optional<uint64_t> bench_seed;     ///< GUMBO_BENCH_SEED
-  std::optional<bool> bench_phases;       ///< GUMBO_BENCH_PHASES (presence)
+#define GUMBO_KNOB_FIELD(env, field, parser) decltype(parser(nullptr)) field;
+  GUMBO_RUNTIME_KNOBS(GUMBO_KNOB_FIELD)
+#undef GUMBO_KNOB_FIELD
 
   /// Fresh parse of the process environment. Unparseable values leave
-  /// their knob disengaged, matching the historical per-site fallbacks.
+  /// their knob disengaged.
   static RuntimeConfig FromEnv();
 
   /// The effective process configuration: the innermost ScopedOverride

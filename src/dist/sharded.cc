@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -361,47 +359,6 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
     return Status::Ok();
   };
   return mr::RunRounds(program, engine_->config(), ctx, run_round, commit);
-}
-
-Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
-                                             const mr::Program& program,
-                                             Database* db, int shards,
-                                             const SchedContext& ctx) {
-  InProcTransport tp(shards);
-  // Every shard — coordinator included — executes against its own
-  // overlay replica: the shared base stays immutable while any shard
-  // reads it, and the coordinator's committed relations are moved into
-  // the caller's database only after every thread quiesced.
-  std::vector<std::optional<Result<mr::ProgramStats>>> results(
-      static_cast<size_t>(shards));
-  std::vector<Database> replicas;
-  replicas.reserve(static_cast<size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    replicas.emplace_back(static_cast<const Database*>(db));
-  }
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      threads.emplace_back([&, s] {
-        ShardedRuntime rt(engine, Cluster{&tp, s, shards});
-        results[static_cast<size_t>(s)] =
-            rt.Execute(program, &replicas[static_cast<size_t>(s)], ctx);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  for (int s = 1; s < shards; ++s) {
-    if (!results[static_cast<size_t>(s)]->ok()) {
-      return results[static_cast<size_t>(s)]->status();
-    }
-  }
-  if (!results[0]->ok()) return results[0]->status();
-  for (const auto& [name, rel] : replicas[0].relations()) {
-    (void)name;
-    db->Put(rel);
-  }
-  return std::move(**results[0]);
 }
 
 }  // namespace gumbo::dist

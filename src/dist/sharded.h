@@ -37,12 +37,25 @@
 #include "common/relation.h"
 #include "common/result.h"
 #include "common/scheduler.h"
-#include "dist/cluster.h"
+#include "dist/transport.h"
 #include "mr/program.h"
 #include "mr/runtime.h"
 #include "mr/stats.h"
 
 namespace gumbo::dist {
+
+/// One shard's identity within a running cluster: which shard am I, how
+/// many are there, and how do we talk. Plain aggregate: the transport is
+/// borrowed and must outlive every execution using it.
+struct Cluster {
+  Transport* transport = nullptr;
+  int shard = 0;
+  int num_shards = 1;
+
+  /// Shard 0 coordinates: it sums worker stats, chooses reducer counts,
+  /// assembles outputs, and broadcasts round commits.
+  bool coordinator() const { return shard == 0; }
+};
 
 class ShardedRuntime {
  public:
@@ -70,16 +83,6 @@ class ShardedRuntime {
   mr::Engine* engine_;
   Cluster cluster_;
 };
-
-/// In-process harness behind plan::ExecutionContext::local_shards: runs
-/// `program` across `shards` (> 1) worker threads — each with its own
-/// overlay replica of `db` and one shared InProcTransport — and commits
-/// the coordinator's outputs into `db`. Semantically identical to
-/// Runtime::Execute (byte-identical outputs, merged stats).
-Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
-                                             const mr::Program& program,
-                                             Database* db, int shards,
-                                             const SchedContext& ctx = {});
 
 }  // namespace gumbo::dist
 

@@ -7,7 +7,7 @@
 //
 //   * InProcTransport: per-channel FIFO queues under one mutex. All
 //     shards live in one process (one thread each); used by
-//     ExecuteShardedLocal and the deterministic dist tests.
+//     ExecutionContext::local_shards and the deterministic dist tests.
 //   * MmapTransport: a directory mailbox. Channel (from -> to) is the
 //     directory c<from>_<to>/ under a shared root; frame k is the file
 //     f<k>.msg, written to a temp name and atomically renamed, then

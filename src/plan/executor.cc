@@ -1,8 +1,11 @@
 #include "plan/executor.h"
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 #include "dist/sharded.h"
+#include "dist/transport.h"
 #include "mr/runtime.h"
 
 namespace gumbo::plan {
@@ -10,7 +13,7 @@ namespace gumbo::plan {
 namespace {
 
 // One dispatch for every execution: a real cluster shard wins over the
-// local harness, which wins over the plain runtime. All three produce
+// local shards, which win over the plain runtime. All three produce
 // byte-identical outputs (DESIGN.md §13).
 Result<mr::ProgramStats> RunProgram(const mr::Program& program,
                                     mr::Engine* engine, Database* db,
@@ -19,11 +22,41 @@ Result<mr::ProgramStats> RunProgram(const mr::Program& program,
     dist::ShardedRuntime runtime(engine, *ctx.cluster);
     return runtime.Execute(program, db, ctx.sched);
   }
-  if (ctx.local_shards > 1) {
-    return dist::ExecuteShardedLocal(engine, program, db, ctx.local_shards,
-                                     ctx.sched);
+  if (ctx.local_shards <= 1) {
+    return mr::Runtime(engine).Execute(program, db, ctx.sched);
   }
-  return mr::Runtime(engine).Execute(program, db, ctx.sched);
+
+  // Local shards: one thread per shard over one InProcTransport. Every
+  // shard — coordinator included — executes against its own overlay
+  // replica: `db` stays immutable while any shard reads it, and the
+  // coordinator's committed relations move into `db` only after every
+  // thread quiesced.
+  const size_t shards = static_cast<size_t>(ctx.local_shards);
+  dist::InProcTransport tp(ctx.local_shards);
+  std::vector<Result<mr::ProgramStats>> results(
+      shards, Status::Internal("shard did not run"));
+  std::vector<Database> replicas(shards,
+                                 Database(static_cast<const Database*>(db)));
+  std::vector<std::thread> threads;
+  for (size_t s = 0; s < shards; ++s) {
+    threads.emplace_back([&, s] {
+      const dist::Cluster cluster{&tp, static_cast<int>(s), ctx.local_shards};
+      results[s] = dist::ShardedRuntime(engine, cluster)
+                       .Execute(program, &replicas[s], ctx.sched);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t s = 1; s < shards; ++s) {
+    if (!results[s].ok()) return results[s].status();
+  }
+  if (!results[0].ok()) return results[0].status();
+  Database& coordinator = replicas[0];
+  for (const auto& entry : coordinator.relations()) {
+    GUMBO_ASSIGN_OR_RETURN(Relation * committed,
+                           coordinator.GetMutable(entry.first));
+    db->Put(std::move(*committed));
+  }
+  return std::move(results[0]).value();
 }
 
 // The paper's four metrics plus the round counters, derived from the

@@ -7,9 +7,12 @@
 #include "common/relation.h"
 #include "common/result.h"
 #include "cost/calibration.h"
-#include "dist/cluster.h"
 #include "mr/program.h"
 #include "plan/planner.h"
+
+namespace gumbo::dist {
+struct Cluster;  // dist/sharded.h
+}  // namespace gumbo::dist
 
 namespace gumbo::plan {
 
@@ -30,9 +33,9 @@ struct ExecutionContext {
   /// real cluster via dist::ShardedRuntime — every shard of the cluster
   /// must execute the same plan. Borrowed.
   dist::Cluster* cluster = nullptr;
-  /// When cluster is null and local_shards > 1, the program runs under
-  /// dist::ExecuteShardedLocal: `local_shards` in-process worker shards
-  /// over an InProcTransport, byte-identical to the default path.
+  /// When cluster is null and local_shards > 1, the program runs on
+  /// `local_shards` in-process shards (one thread each) over an
+  /// InProcTransport, byte-identical to the default path.
   int local_shards = 1;
   /// When set, every relation in it shadows its base namesake for the
   /// whole run — delta-mode execution (DESIGN.md §12): a cached plan

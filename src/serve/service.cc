@@ -41,17 +41,15 @@ ServiceOptions InstallCalibration(ServiceOptions options) {
 // Environment escape hatches for the delta layer (DESIGN.md §12):
 // GUMBO_DISABLE_DELTA=1 forces the result cache (and with it all delta
 // maintenance) off; GUMBO_RESULT_CACHE_CAP overrides its capacity.
-ServiceOptions ApplyDeltaEnv(ServiceOptions options) {
+// GUMBO_SHARDS layers over ServiceOptions::shards the same way
+// (DESIGN.md §13), so a deployed binary shards without a code change.
+ServiceOptions ApplyEnv(ServiceOptions options) {
   const common::RuntimeConfig& cfg = common::RuntimeConfig::Get();
   if (cfg.disable_delta.value_or(false)) options.result_cache = false;
-  options.result_cache_capacity =
-      cfg.result_cache_cap.value_or(options.result_cache_capacity);
-  // Distribution knobs layer the same way (DESIGN.md §13): GUMBO_SHARDS
-  // over ServiceOptions::dist, so a deployed binary shards without a
-  // code change.
-  options.dist.shards = cfg.shards.value_or(options.dist.shards);
-  options.dist.transport = cfg.transport.value_or(options.dist.transport);
-  options.dist.dir = cfg.dist_dir.value_or(options.dist.dir);
+  options.result_cache_capacity = static_cast<size_t>(
+      cfg.result_cache_cap.value_or(options.result_cache_capacity));
+  options.shards = static_cast<int>(
+      cfg.shards.value_or(static_cast<size_t>(options.shards)));
   return options;
 }
 
@@ -60,7 +58,7 @@ ServiceOptions ApplyDeltaEnv(ServiceOptions options) {
 QueryService::QueryService(const Database* db, ServiceOptions options,
                            Scheduler* scheduler)
     : db_(db),
-      options_(ApplyDeltaEnv(InstallCalibration(std::move(options)))),
+      options_(ApplyEnv(InstallCalibration(std::move(options)))),
       env_faults_(FaultInjector::FromEnv()),
       faults_(options_.faults != nullptr ? options_.faults : &env_faults_),
       engine_(options_.cluster, scheduler),
@@ -330,6 +328,46 @@ Result<plan::PlanRef> QueryService::PlanSingleFlight(
   return outcome;
 }
 
+double QueryService::ExecutePass(const Task& task,
+                                 const plan::QueryPlan& plan,
+                                 plan::ExecutionContext ctx, Database* outputs,
+                                 Response* resp) {
+  // Admission lane -> morsel priority (DESIGN.md §9): fast-lane queries
+  // execute at kHigh, so their morsels overtake normal-priority backlogs
+  // inside the shared scheduler, not just the admission queue.
+  SchedGroupMetrics sched_metrics;
+  ctx.sched.priority = task.priority;
+  ctx.sched.metrics = &sched_metrics;
+  ctx.sched.cancel = task.token;
+  ctx.sched.faults = faults_->active() ? faults_ : nullptr;
+  const Clock::time_point start = Clock::now();
+  Result<plan::ExecutionResult> executed =
+      plan::ExecutePlanOnSnapshot(plan, &engine_, *db_, outputs, ctx);
+  const double wall_ms = MsSince(start);
+  // Attribution fix: time our morsels sat runnable-but-unserved is the
+  // scheduler's doing, not the query's — report it as sched_wait so an
+  // inflated p95 is diagnosable (DESIGN.md §9).
+  const double sched_wait_ms =
+      static_cast<double>(
+          sched_metrics.stall_us.load(std::memory_order_relaxed)) /
+      1e3;
+  exec_us_.fetch_add(
+      static_cast<uint64_t>(std::max(0.0, wall_ms - sched_wait_ms) * 1e3),
+      std::memory_order_relaxed);
+  sched_wait_us_.fetch_add(static_cast<uint64_t>(sched_wait_ms * 1e3),
+                           std::memory_order_relaxed);
+  if (!executed.ok()) {
+    resp->status = executed.status();
+    return wall_ms;
+  }
+  resp->metrics = executed->metrics;
+  resp->stats = std::move(executed->stats);
+  resp->metrics.sched_wait_ms = sched_wait_ms;
+  resp->metrics.sched_morsels =
+      sched_metrics.morsels.load(std::memory_order_relaxed);
+  return wall_ms;
+}
+
 bool QueryService::TryResultCache(const Task& task, const std::string& key,
                                   const std::vector<std::string>& names,
                                   const std::vector<uint64_t>& epochs,
@@ -347,7 +385,6 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
     // Pure hit: nothing moved — the stored canonical outputs ARE the
     // answer, byte for byte. No planning, no execution.
     results_.NoteHit();
-    result_hits_.fetch_add(1, std::memory_order_relaxed);
     resp->outputs = *entry->outputs;
     resp->metrics.result_cache_hit = true;
     return true;
@@ -370,24 +407,14 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
   // ---- Delta maintenance pass (DESIGN.md §12) ----
   // Re-run the cached plan with each moved relation shadowed by its
   // delta slice: dirty subqueries produce exactly their new output rows.
-  SchedGroupMetrics sched_metrics;
   plan::ExecutionContext ctx;
-  ctx.sched.priority = task.priority;
-  ctx.sched.metrics = &sched_metrics;
-  ctx.sched.cancel = task.token;
-  ctx.sched.faults = faults_->active() ? faults_ : nullptr;
   ctx.overrides = &dp.overrides;
-  const Clock::time_point delta_start = Clock::now();
   Database delta_out;
-  Result<plan::ExecutionResult> executed = plan::ExecutePlanOnSnapshot(
-      *entry->plan, &engine_, *db_, &delta_out, ctx);
-  const double delta_wall_ms = MsSince(delta_start);
-  if (!executed.ok()) {
-    // A failed pass (cancel, deadline, injected fault past retries) fails
-    // the query; the cached entry is untouched and still valid.
-    resp->status = executed.status();
-    return true;
-  }
+  const double delta_wall_ms =
+      ExecutePass(task, *entry->plan, ctx, &delta_out, resp);
+  // A failed pass (cancel, deadline, injected fault past retries) fails
+  // the query; the cached entry is untouched and still valid.
+  if (!resp->ok()) return true;
 
   // Union + canonicalize: a dirty output is cached ∪ delta, re-deduped —
   // SortAndDedupe restores exactly the canonical order a from-scratch
@@ -419,26 +446,9 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
   fresh.outputs = std::make_shared<const Database>(resp->outputs);
   results_.Insert(key, std::move(fresh));
   results_.NoteDeltaHit();
-  delta_hits_.fetch_add(1, std::memory_order_relaxed);
   delta_rows_.fetch_add(dp.delta_rows, std::memory_order_relaxed);
   delta_us_.fetch_add(static_cast<uint64_t>(delta_wall_ms * 1e3),
                       std::memory_order_relaxed);
-
-  const double sched_wait_ms =
-      static_cast<double>(
-          sched_metrics.stall_us.load(std::memory_order_relaxed)) /
-      1e3;
-  exec_us_.fetch_add(
-      static_cast<uint64_t>(std::max(0.0, delta_wall_ms - sched_wait_ms) *
-                            1e3),
-      std::memory_order_relaxed);
-  sched_wait_us_.fetch_add(static_cast<uint64_t>(sched_wait_ms * 1e3),
-                           std::memory_order_relaxed);
-  resp->metrics = executed->metrics;
-  resp->stats = std::move(executed->stats);
-  resp->metrics.sched_wait_ms = sched_wait_ms;
-  resp->metrics.sched_morsels =
-      sched_metrics.morsels.load(std::memory_order_relaxed);
   resp->metrics.delta_applied = true;
   resp->metrics.delta_rows = dp.delta_rows;
   // No calibration feedback from delta passes: the cached plan's
@@ -529,55 +539,25 @@ void QueryService::Execute(Task task) {
   }
 
   // ---- Execute against the shared snapshot via a private overlay ----
-  // Admission lane -> morsel priority (DESIGN.md §9): fast-lane queries
-  // execute at kHigh, so their morsels overtake normal-priority backlogs
-  // inside the shared scheduler, not just the admission queue.
-  double exec_ms = 0.0;
-  double sched_wait_ms = 0.0;
   if (resp.ok() && !result_done) {
-    SchedGroupMetrics sched_metrics;
     plan::ExecutionContext ctx;
-    ctx.sched.priority = task.priority;
-    ctx.sched.metrics = &sched_metrics;
-    ctx.sched.cancel = task.token;
-    ctx.sched.faults = faults_->active() ? faults_ : nullptr;
-    // dist.shards > 1 routes through the sharded harness (DESIGN.md
-    // §13): same snapshot/overlay contract, byte-identical outputs.
-    ctx.local_shards = options_.dist.shards;
+    // shards > 1 runs on in-process shards (DESIGN.md §13): same
+    // snapshot/overlay contract, byte-identical outputs.
+    ctx.local_shards = options_.shards;
     // Close the calibration loop (DESIGN.md §10): observed stats of this
     // execution refine the shared store so later plannings estimate
     // better. Thread-safe; results are unaffected (estimates only).
     ctx.calibration = options_.calibration;
-    const Clock::time_point exec_start = Clock::now();
-    Result<plan::ExecutionResult> executed = plan::ExecutePlanOnSnapshot(
-        *plan, &engine_, *db_, &resp.outputs, ctx);
-    const double exec_wall_ms = MsSince(exec_start);
-    // Attribution fix: time our morsels sat runnable-but-unserved is the
-    // scheduler's doing, not the query's — report it as sched_wait so an
-    // inflated p95 is diagnosable (DESIGN.md §9).
-    sched_wait_ms =
-        static_cast<double>(
-            sched_metrics.stall_us.load(std::memory_order_relaxed)) /
-        1e3;
-    exec_ms = std::max(0.0, exec_wall_ms - sched_wait_ms);
-    if (!executed.ok()) {
-      resp.status = executed.status();
-    } else {
-      resp.metrics = executed->metrics;
-      resp.stats = std::move(executed->stats);
-      resp.metrics.sched_wait_ms = sched_wait_ms;
-      resp.metrics.sched_morsels =
-          sched_metrics.morsels.load(std::memory_order_relaxed);
-      // Materialize into the result cache so the next lookup is a pure
-      // hit — or, after insert-only writes, a delta pass (DESIGN.md §12).
-      if (options_.result_cache && have_epochs && plan != nullptr) {
-        ResultCache::Entry entry;
-        entry.names = epoch_names;
-        entry.epochs = epochs;
-        entry.plan = plan;
-        entry.outputs = std::make_shared<const Database>(resp.outputs);
-        results_.Insert(key, std::move(entry));
-      }
+    ExecutePass(task, *plan, ctx, &resp.outputs, &resp);
+    // Materialize into the result cache so the next lookup is a pure hit
+    // — or, after insert-only writes, a delta pass (DESIGN.md §12).
+    if (resp.ok() && options_.result_cache && have_epochs) {
+      ResultCache::Entry entry;
+      entry.names = epoch_names;
+      entry.epochs = epochs;
+      entry.plan = plan;
+      entry.outputs = std::make_shared<const Database>(resp.outputs);
+      results_.Insert(key, std::move(entry));
     }
   }
   db_lock.unlock();
@@ -594,10 +574,6 @@ void QueryService::Execute(Task task) {
                       std::memory_order_relaxed);
   plan_us_.fetch_add(static_cast<uint64_t>(plan_ms * 1e3),
                      std::memory_order_relaxed);
-  exec_us_.fetch_add(static_cast<uint64_t>(exec_ms * 1e3),
-                     std::memory_order_relaxed);
-  sched_wait_us_.fetch_add(static_cast<uint64_t>(sched_wait_ms * 1e3),
-                           std::memory_order_relaxed);
   // Retry attribution: the jobs' counters ride in the program stats (the
   // planner site feeds the service atomics directly as it retries).
   if (resp.metrics.faults_injected > 0 || resp.metrics.task_retries > 0) {
@@ -654,15 +630,15 @@ ServiceStats QueryService::Stats() const {
   s.plan_coalesced = plan_coalesced_.load(std::memory_order_relaxed);
   s.plans_built = plans_built_.load(std::memory_order_relaxed);
   s.cache = cache_.counters();
-  s.result_hits = result_hits_.load(std::memory_order_relaxed);
-  s.delta_hits = delta_hits_.load(std::memory_order_relaxed);
+  s.result_cache = results_.counters();
+  s.result_hits = s.result_cache.hits;
+  s.delta_hits = s.result_cache.delta_hits;
   s.delta_rows = delta_rows_.load(std::memory_order_relaxed);
   s.mean_delta_ms =
       s.delta_hits == 0
           ? 0.0
           : static_cast<double>(delta_us_.load(std::memory_order_relaxed)) /
                 1e3 / static_cast<double>(s.delta_hits);
-  s.result_cache = results_.counters();
   s.total_p50_ms = total_latency_.Percentile(0.50);
   s.total_p95_ms = total_latency_.Percentile(0.95);
   s.total_p99_ms = total_latency_.Percentile(0.99);

@@ -60,7 +60,6 @@
 #include "common/relation.h"
 #include "common/scheduler.h"
 #include "cost/constants.h"
-#include "dist/cluster.h"
 #include "mr/engine.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
@@ -124,13 +123,13 @@ struct ServiceOptions {
   /// outlive the service. nullptr = the process-wide GUMBO_FAULT_* env
   /// configuration (inactive unless GUMBO_FAULT_RATE is set).
   const FaultInjector* faults = nullptr;
-  /// Sharded execution (DESIGN.md §13): dist.shards > 1 routes every
-  /// query execution through `dist.shards` in-process worker shards over
-  /// an InProcTransport (plan::ExecutionContext::local_shards) —
+  /// Sharded execution (DESIGN.md §13): shards > 1 routes every query
+  /// execution through `shards` in-process worker shards over an
+  /// InProcTransport (plan::ExecutionContext::local_shards) —
   /// byte-identical outputs, real wire bytes charged to the cost model.
   /// GUMBO_SHARDS layers over this (env wins when set). Delta passes
   /// stay single-process: their inputs are delta-sized by construction.
-  dist::ClusterOptions dist;
+  int shards = 1;
 };
 
 /// Per-query submission options — the one place deadline, priority, and
@@ -272,6 +271,16 @@ class QueryService {
                                          std::vector<uint64_t> epochs,
                                          bool use_cache, bool* coalesced);
 
+  /// Runs `plan` for `task` against the base snapshot into `outputs`
+  /// under the task's priority, cancel token and faults; sets
+  /// resp->status, and on success resp->metrics (with sched_wait_ms and
+  /// sched_morsels) and resp->stats. Adds the pass's execution and
+  /// scheduler-stall time to the aggregate counters (DESIGN.md §9).
+  /// Returns the pass's wall time (ms).
+  double ExecutePass(const Task& task, const plan::QueryPlan& plan,
+                     plan::ExecutionContext ctx, Database* outputs,
+                     Response* resp);
+
   /// Result-cache front door (DESIGN.md §12): pure hit, delta pass, or
   /// invalidation for `key` at the current `epochs`. Returns true when
   /// `resp` is final (hit or delta — including a delta pass that failed,
@@ -325,8 +334,6 @@ class QueryService {
   uint64_t shed_ = 0;
   std::atomic<uint64_t> plan_coalesced_{0};
   std::atomic<uint64_t> plans_built_{0};
-  std::atomic<uint64_t> result_hits_{0};
-  std::atomic<uint64_t> delta_hits_{0};
   std::atomic<uint64_t> delta_rows_{0};
   std::atomic<uint64_t> delta_us_{0};  ///< wall time of delta passes
   std::atomic<uint64_t> task_retries_{0};

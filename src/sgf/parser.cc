@@ -237,7 +237,7 @@ class Parser {
     ConditionPtr cond;
     if (Peek().kind == TokKind::kWhere) {
       Next();
-      GUMBO_ASSIGN_OR_RETURN(cond, ParseOr(&atoms));
+      GUMBO_ASSIGN_OR_RETURN(cond, ParseOr(&atoms, 0));
     }
     return BsgfQuery(std::move(output), std::move(select_vars),
                      std::move(guard), std::move(atoms), std::move(cond));
@@ -308,41 +308,49 @@ class Parser {
     return atoms->size() - 1;
   }
 
-  Result<ConditionPtr> ParseOr(std::vector<Atom>* atoms) {
-    GUMBO_ASSIGN_OR_RETURN(ConditionPtr lhs, ParseAnd(atoms));
+  // `depth` counts the NOTs and '('s open around the current token.
+  Result<ConditionPtr> ParseOr(std::vector<Atom>* atoms, int depth) {
+    GUMBO_ASSIGN_OR_RETURN(ConditionPtr lhs, ParseAnd(atoms, depth));
     while (Peek().kind == TokKind::kOr) {
       Next();
-      GUMBO_ASSIGN_OR_RETURN(ConditionPtr rhs, ParseAnd(atoms));
+      GUMBO_ASSIGN_OR_RETURN(ConditionPtr rhs, ParseAnd(atoms, depth));
       lhs = Condition::MakeOr(std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
-  Result<ConditionPtr> ParseAnd(std::vector<Atom>* atoms) {
-    GUMBO_ASSIGN_OR_RETURN(ConditionPtr lhs, ParseUnary(atoms));
+  Result<ConditionPtr> ParseAnd(std::vector<Atom>* atoms, int depth) {
+    GUMBO_ASSIGN_OR_RETURN(ConditionPtr lhs, ParseUnary(atoms, depth));
     while (Peek().kind == TokKind::kAnd) {
       Next();
-      GUMBO_ASSIGN_OR_RETURN(ConditionPtr rhs, ParseUnary(atoms));
+      GUMBO_ASSIGN_OR_RETURN(ConditionPtr rhs, ParseUnary(atoms, depth));
       lhs = Condition::MakeAnd(std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
-  Result<ConditionPtr> ParseUnary(std::vector<Atom>* atoms) {
+  Result<ConditionPtr> ParseUnary(std::vector<Atom>* atoms, int depth) {
+    // NOT and '(' recurse: bounded nesting fails with a ParseError where
+    // unbounded nesting would overflow the stack.
+    if (depth > kMaxNesting) {
+      return ErrorAt(Peek(), "condition nested too deeply");
+    }
     if (Peek().kind == TokKind::kNot) {
       Next();
-      GUMBO_ASSIGN_OR_RETURN(ConditionPtr child, ParseUnary(atoms));
+      GUMBO_ASSIGN_OR_RETURN(ConditionPtr child, ParseUnary(atoms, depth + 1));
       return Condition::MakeNot(std::move(child));
     }
     if (Peek().kind == TokKind::kLParen) {
       Next();
-      GUMBO_ASSIGN_OR_RETURN(ConditionPtr inner, ParseOr(atoms));
+      GUMBO_ASSIGN_OR_RETURN(ConditionPtr inner, ParseOr(atoms, depth + 1));
       GUMBO_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
       return inner;
     }
     GUMBO_ASSIGN_OR_RETURN(Atom atom, ParseAtom());
     return Condition::MakeAtom(InternAtom(std::move(atom), atoms));
   }
+
+  static constexpr int kMaxNesting = 256;
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;

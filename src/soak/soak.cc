@@ -1,5 +1,6 @@
 #include "soak/soak.h"
 
+#include <cstdlib>
 #include <string>
 
 #include "common/config.h"
@@ -409,14 +410,15 @@ const char* DataRegimeName(DataRegime regime) {
 }
 
 SoakConfig SoakConfig::FromEnv() {
-  const common::RuntimeConfig& cfg = common::RuntimeConfig::Get();
   SoakConfig config;
-  config.seed = cfg.soak_seed.value_or(config.seed);
-  config.iterations = static_cast<size_t>(
-      cfg.soak_iters.value_or(config.iterations));
-  config.tuples =
-      static_cast<size_t>(cfg.soak_tuples.value_or(config.tuples));
-  config.mutate = cfg.soak_mutate.value_or(config.mutate ? 1 : 0) != 0;
+  config.seed =
+      common::ParseU64(std::getenv("GUMBO_SOAK_SEED")).value_or(config.seed);
+  config.iterations = common::ParseCount(std::getenv("GUMBO_SOAK_ITERS"))
+                          .value_or(config.iterations);
+  config.tuples = common::ParseCount(std::getenv("GUMBO_SOAK_TUPLES"))
+                      .value_or(config.tuples);
+  config.mutate = common::ParseFlag(std::getenv("GUMBO_SOAK_MUTATE"))
+                      .value_or(config.mutate);
   // Chaos knobs share the injector's own env parsing (site-name lists,
   // rate clamping) so a chaos soak is configured exactly like any other
   // fault-injected run.

@@ -58,7 +58,7 @@ struct SoakConfig {
   /// AddFact batches through the service's write API, and require every
   /// post-mutation response — delta-maintained, result-hit, or fallback
   /// re-execution — byte-identical to a from-scratch naive evaluation of
-  /// the mutated database. Env: GUMBO_SOAK_MUTATE (non-zero enables).
+  /// the mutated database. Env: GUMBO_SOAK_MUTATE (1 enables).
   bool mutate = false;
   /// Thread a shared CalibrationStore through the whole soak: planners
   /// estimate through it and executions feed it, so the soak also pins
@@ -84,8 +84,8 @@ struct SoakConfig {
 
   bool chaos() const { return fault_rate > 0.0; }
 
-  /// Reads GUMBO_SOAK_{SEED,ITERS,TUPLES} and GUMBO_FAULT_{RATE,SEED,
-  /// SITES} over the defaults above.
+  /// Reads GUMBO_SOAK_{SEED,ITERS,TUPLES,MUTATE} (common/config.h
+  /// parsers) and GUMBO_FAULT_{RATE,SEED,SITES} over the defaults above.
   static SoakConfig FromEnv();
 };
 

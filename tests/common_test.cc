@@ -1,10 +1,16 @@
 // Tests for the common foundations: Status/Result, Value/Dictionary,
-// Tuple, Relation/Database, RNG, string helpers, table printer.
+// Tuple, Relation/Database, RNG, string helpers, table printer, and the
+// RuntimeConfig knob table.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
+#include <map>
 #include <set>
+#include <sstream>
 #include <thread>
 
+#include "common/config.h"
 #include "common/dictionary.h"
 #include "common/relation.h"
 #include "common/result.h"
@@ -240,6 +246,121 @@ TEST(TablePrinterTest, AlignsColumns) {
   std::string out = tp.Render();
   EXPECT_NE(out.find("| a   | bbbb |"), std::string::npos) << out;
   EXPECT_NE(out.find("| ccc | d    |"), std::string::npos) << out;
+}
+
+// ---- RuntimeConfig ----------------------------------------------------------
+// Each case sets the process environment and parses it with FromEnv();
+// ctest runs every case in its own process.
+
+// A well-formed value for each parser.
+const char* WellFormed(const std::string& parser) {
+  if (parser == "ParseFlag") return "1";
+  if (parser == "ParseRate") return "0.25";
+  if (parser == "ParseString") return "planner,cache";
+  return "7";
+}
+
+// Values each parser must reject: "" everywhere; a string knob takes any
+// other value.
+std::vector<const char*> Malformed(const std::string& parser) {
+  if (parser == "ParseString") return {""};
+  std::vector<const char*> m = {"", "12abc", "-1", "abc", " 7", "+7", "7 "};
+  if (parser == "ParseCount") m.push_back("0");
+  if (parser == "ParseRate") {
+    m.insert(m.end(), {"0", "1e999", "inf", "nan"});
+  } else {
+    m.push_back("99999999999999999999999");  // past 2^64
+  }
+  if (parser == "ParseFlag") m.push_back("true");
+  return m;
+}
+
+struct KnobRow {
+  const char* env;
+  const char* well_formed;
+  std::vector<const char*> malformed;
+  std::function<bool(const common::RuntimeConfig&)> engaged;
+};
+
+std::vector<KnobRow> KnobRows() {
+  std::vector<KnobRow> rows;
+#define GUMBO_TEST_KNOB_ROW(env, field, parser)                        \
+  rows.push_back(                                                      \
+      {#env, WellFormed(#parser), Malformed(#parser),                  \
+       [](const common::RuntimeConfig& c) { return c.field.has_value(); }});
+  GUMBO_RUNTIME_KNOBS(GUMBO_TEST_KNOB_ROW)
+#undef GUMBO_TEST_KNOB_ROW
+  return rows;
+}
+
+void UnsetAllKnobs() {
+  for (const KnobRow& row : KnobRows()) unsetenv(row.env);
+}
+
+TEST(RuntimeConfigTest, EveryRowParsesAWellFormedValue) {
+  for (const KnobRow& row : KnobRows()) {
+    UnsetAllKnobs();
+    setenv(row.env, row.well_formed, 1);
+    EXPECT_TRUE(row.engaged(common::RuntimeConfig::FromEnv()))
+        << row.env << "=" << row.well_formed;
+  }
+  // Spot-check the parsed values of each parser.
+  UnsetAllKnobs();
+  for (const KnobRow& row : KnobRows()) setenv(row.env, row.well_formed, 1);
+  const common::RuntimeConfig c = common::RuntimeConfig::FromEnv();
+  EXPECT_EQ(c.morsel_rows, std::optional<size_t>(7));
+  EXPECT_EQ(c.max_task_retries, std::optional<uint64_t>(7));
+  EXPECT_EQ(c.disable_delta, std::optional<bool>(true));
+  EXPECT_EQ(c.fault_rate, std::optional<double>(0.25));
+  EXPECT_EQ(c.fault_sites, std::optional<std::string>("planner,cache"));
+  setenv("GUMBO_DISABLE_FILTERS", "0", 1);
+  setenv("GUMBO_RESULT_CACHE_CAP", "0", 1);
+  const common::RuntimeConfig z = common::RuntimeConfig::FromEnv();
+  EXPECT_EQ(z.disable_filters, std::optional<bool>(false));
+  EXPECT_EQ(z.result_cache_cap, std::optional<uint64_t>(0));
+  UnsetAllKnobs();
+}
+
+TEST(RuntimeConfigTest, MalformedValuesLeaveTheKnobUnset) {
+  for (const KnobRow& row : KnobRows()) {
+    for (const char* value : row.malformed) {
+      UnsetAllKnobs();
+      setenv(row.env, value, 1);
+      EXPECT_FALSE(row.engaged(common::RuntimeConfig::FromEnv()))
+          << row.env << "=\"" << value << "\"";
+    }
+  }
+  UnsetAllKnobs();
+}
+
+TEST(RuntimeConfigTest, DescribeNamesEveryRowOnce) {
+  UnsetAllKnobs();
+  for (const KnobRow& row : KnobRows()) setenv(row.env, row.well_formed, 1);
+  const common::RuntimeConfig set = common::RuntimeConfig::FromEnv();
+  UnsetAllKnobs();
+  for (const common::RuntimeConfig& cfg :
+       {common::RuntimeConfig::FromEnv(), set}) {
+    const std::string text = cfg.Describe();
+    std::map<std::string, int> named;
+    std::istringstream lines(text);
+    std::string line;
+    std::getline(lines, line);  // header
+    while (std::getline(lines, line)) {
+      std::istringstream words(line);
+      std::string name;
+      words >> name;
+      ++named[name];
+    }
+    EXPECT_EQ(named.size(), KnobRows().size()) << text;
+    for (const KnobRow& row : KnobRows()) {
+      EXPECT_EQ(named[row.env], 1) << row.env << "\n" << text;
+    }
+    for (const char* removed :
+         {"GUMBO_TRANSPORT", "GUMBO_DIST_DIR", "GUMBO_DISABLE_STEALING",
+          "GUMBO_SOAK_", "GUMBO_BENCH_"}) {
+      EXPECT_EQ(text.find(removed), std::string::npos) << removed;
+    }
+  }
 }
 
 // The morsel scheduler (the ThreadPool successor) is covered in

@@ -398,6 +398,47 @@ TEST(CalibrationTest, SerializeRoundTripsEveryCell) {
   EXPECT_FALSE(loaded.Deserialize("not a calibration file").ok());
 }
 
+// Seeded byte mutations of a valid calibration file (test_util.h
+// MutateText): each load must end in a typed InvalidArgument or a store
+// whose every factor is finite and within the [1/64, 64] clamp (run
+// under ASan and UBSan in CI).
+TEST(CalibrationFuzzTest, MutatedFilesLoadOrFailTyped) {
+  CalibrationStore store;
+  for (size_t c = 0; c < kNumChannels; ++c) {
+    for (size_t r = 0; r < kNumRegimes; ++r) {
+      store.Observe(static_cast<Channel>(c), static_cast<SkewRegime>(r), 1.0,
+                    0.5 + static_cast<double>(c * kNumRegimes + r));
+    }
+  }
+  const std::string seed = store.Serialize();
+  std::mt19937_64 rng(0x5EED5EEDull);
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string text = seed;
+    ::gumbo::testing::MutateText(&rng, &text);
+    CalibrationStore got;
+    const Status s = got.Deserialize(text);
+    if (!s.ok()) {
+      ++rejected;
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+          << "iteration " << iter << ": " << s;
+      continue;
+    }
+    ++loaded;
+    for (size_t c = 0; c < kNumChannels; ++c) {
+      for (size_t r = 0; r < kNumRegimes; ++r) {
+        const double f =
+            got.Factor(static_cast<Channel>(c), static_cast<SkewRegime>(r));
+        ASSERT_TRUE(std::isfinite(f) && f >= 1.0 / 64.0 && f <= 64.0)
+            << "iteration " << iter << ": factor " << f << "\n" << text;
+      }
+    }
+  }
+  EXPECT_GT(loaded, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
 // ---- Estimator sampling accuracy per skew regime -----------------------------
 
 TEST(EstimatorTest, SampledEstimateErrorBoundedOnSkewedInputs) {

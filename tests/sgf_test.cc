@@ -191,6 +191,72 @@ TEST(ParserTest, OperatorPrecedenceNotAndOr) {
   EXPECT_EQ(c->rhs()->rhs()->kind(), Condition::Kind::kNot);
 }
 
+// NOT and parentheses recurse in the parser: deep nesting is a typed
+// ParseError, not a stack overflow (300000 NOTs crashed the parser).
+TEST(ParserTest, RejectsDeepNestingTyped) {
+  auto nested = [](int depth, const std::string& open,
+                   const std::string& close) {
+    std::string q = "Z := SELECT x FROM R(x) WHERE ";
+    for (int i = 0; i < depth; ++i) q += open;
+    q += "S(x)";
+    for (int i = 0; i < depth; ++i) q += close;
+    return q + ";";
+  };
+  Dictionary dict;
+  EXPECT_OK(sgf::ParseSgf(nested(256, "NOT ", ""), &dict));
+  EXPECT_OK(sgf::ParseSgf(nested(256, "(", ")"), &dict));
+  for (const auto& q : {nested(257, "NOT ", ""), nested(300000, "NOT ", ""),
+                        nested(300000, "(", ")")}) {
+    auto r = sgf::ParseSgf(q, &dict);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << r.status();
+  }
+}
+
+// Seeded byte mutations of valid queries (test_util.h MutateText): each
+// must end in a typed ParseError/InvalidArgument or a well-formed query
+// whose printed form parses back to the same text (run under ASan and
+// UBSan in CI).
+TEST(SgfFuzzTest, MutatedQueriesParseOrFailTyped) {
+  const char* const kSeeds[] = {
+      "Z := SELECT (x, y) FROM R(x, y) "
+      "WHERE (S(x, y) OR S(y, x)) AND T(x, z);",
+      "Z5 := SELECT (x, y) FROM R(x, y, 4) "
+      "WHERE (S(1, x) AND NOT S(y, 10)) OR (NOT S(1, x) AND S(y, 10));",
+      "-- the bookstore query of Example 2\n"
+      "Z1 := SELECT aut FROM Amaz(ttl, aut, \"bad\") "
+      "WHERE BN(ttl, aut, \"bad\") AND BD(ttl, aut, \"bad\");\n"
+      "Z2 := SELECT (new, aut) FROM Upcoming(new, aut) WHERE NOT Z1(aut);",
+      "Z := SELECT x FROM R(x, -5) WHERE NOT S(x, \"weird string\");",
+  };
+  std::mt19937_64 rng(0x5EED5EEDull);
+  size_t parsed = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string text = kSeeds[rng() % std::size(kSeeds)];
+    ::gumbo::testing::MutateText(&rng, &text);
+    Dictionary dict;
+    auto q = sgf::ParseSgf(text, &dict);
+    if (!q.ok()) {
+      ++rejected;
+      EXPECT_TRUE(q.status().code() == StatusCode::kParseError ||
+                  q.status().code() == StatusCode::kInvalidArgument)
+          << "iteration " << iter << ": " << q.status() << "\n" << text;
+      continue;
+    }
+    ++parsed;
+    ASSERT_FALSE(q->empty());
+    const std::string printed = q->ToString(&dict);
+    auto again = sgf::ParseSgf(printed, &dict);
+    ASSERT_OK(again) << "iteration " << iter << ":\n" << printed;
+    EXPECT_EQ(again->ToString(&dict), printed) << "iteration " << iter;
+  }
+  // Both outcomes happen: the mutations are neither all fatal nor all
+  // harmless.
+  EXPECT_GT(parsed, 500u);
+  EXPECT_GT(rejected, 5000u);
+}
+
 // ---- Analyzer --------------------------------------------------------------
 
 TEST(AnalyzerTest, RejectsSelectVarNotInGuard) {

@@ -5,7 +5,8 @@
 // the property the printed failure repro relies on.
 #include <gtest/gtest.h>
 
-#include "common/config.h"
+#include <cstdlib>
+
 #include "soak/soak.h"
 #include "test_util.h"
 
@@ -86,20 +87,33 @@ TEST(SoakTest, BuildDatabaseIsDeterministicPerRegime) {
   }
 }
 
+// The soak harness reads its own GUMBO_SOAK_* knobs straight from the
+// environment (ctest runs each case in its own process).
 TEST(SoakTest, FromEnvReadsKnobs) {
-  {
-    common::RuntimeConfig cfg;
-    cfg.soak_seed = 99;
-    cfg.soak_iters = 3;
-    cfg.soak_tuples = 64;
-    common::RuntimeConfig::ScopedOverride ov{std::move(cfg)};
-    const soak::SoakConfig c = soak::SoakConfig::FromEnv();
-    EXPECT_EQ(c.seed, 99u);
-    EXPECT_EQ(c.iterations, 3u);
-    EXPECT_EQ(c.tuples, 64u);
-  }
-  common::RuntimeConfig::ScopedOverride ov{common::RuntimeConfig{}};
+  const char* const kKnobs[] = {"GUMBO_SOAK_SEED", "GUMBO_SOAK_ITERS",
+                                "GUMBO_SOAK_TUPLES", "GUMBO_SOAK_MUTATE"};
+  setenv("GUMBO_SOAK_SEED", "99", 1);
+  setenv("GUMBO_SOAK_ITERS", "3", 1);
+  setenv("GUMBO_SOAK_TUPLES", "64", 1);
+  setenv("GUMBO_SOAK_MUTATE", "1", 1);
+  const soak::SoakConfig c = soak::SoakConfig::FromEnv();
+  EXPECT_EQ(c.seed, 99u);
+  EXPECT_EQ(c.iterations, 3u);
+  EXPECT_EQ(c.tuples, 64u);
+  EXPECT_TRUE(c.mutate);
+
+  // Malformed values leave the defaults in place.
+  setenv("GUMBO_SOAK_ITERS", "3x", 1);
+  setenv("GUMBO_SOAK_TUPLES", "0", 1);
+  setenv("GUMBO_SOAK_MUTATE", "yes", 1);
+  const soak::SoakConfig m = soak::SoakConfig::FromEnv();
+  EXPECT_EQ(m.iterations, 200u);
+  EXPECT_EQ(m.tuples, 240u);
+  EXPECT_FALSE(m.mutate);
+
+  for (const char* knob : kKnobs) unsetenv(knob);
   const soak::SoakConfig d = soak::SoakConfig::FromEnv();
+  EXPECT_EQ(d.seed, 7u);
   EXPECT_EQ(d.iterations, 200u);  // defaults restored
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <iterator>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -83,6 +85,40 @@ inline Result<plan::ExecutionResult> ExecuteAndVerify(
     }
   }
   return result;
+}
+
+/// Applies one to three seeded byte mutations to `text`, for fuzzing a
+/// text parser: a bit flip, a truncation, an insertion of random bytes,
+/// or a huge number spliced in at a random offset.
+inline void MutateText(std::mt19937_64* rng, std::string* text) {
+  static const char* const kHuge[] = {
+      "99999999999999999999999", "-9223372036854775809",
+      "18446744073709551616",    "4294967296",
+      "1e999",                   "-1e999",
+      "1e-400",                  "-0"};
+  auto below = [rng](size_t n) { return static_cast<size_t>((*rng)() % n); };
+  for (size_t m = 1 + below(3); m > 0; --m) {
+    switch (below(4)) {
+      case 0:  // flip one bit
+        if (!text->empty()) {
+          (*text)[below(text->size())] ^= static_cast<char>(1u << below(8));
+        }
+        break;
+      case 1:  // truncate
+        text->resize(below(text->size() + 1));
+        break;
+      case 2:  // insert random bytes
+        for (size_t n = 1 + below(8); n > 0; --n) {
+          text->insert(text->begin() + static_cast<std::ptrdiff_t>(
+                                           below(text->size() + 1)),
+                       static_cast<char>((*rng)()));
+        }
+        break;
+      default:  // a huge number at any offset
+        text->insert(below(text->size() + 1), kHuge[below(std::size(kHuge))]);
+        break;
+    }
+  }
 }
 
 inline ::testing::AssertionResult IsOk(const Status& s) {
